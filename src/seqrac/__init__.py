@@ -34,7 +34,6 @@ from .montecarlo import (
     SimulationConfig,
     SimulationResult,
     analytic_reference,
-    outcome_to_guess,
     run,
 )
 from .rac import (

@@ -149,25 +149,29 @@ def projective_dephase(rho: DensityOp, b: SharpObservable) -> DensityOp:
     return DensityOp.from_bloch(tuple(n_dot_b * a for a in b.bloch))
 
 
-def nonselective_step(rho: DensityOp, step: SequentialChannelStep) -> DensityOp:
-    """Equal mixture of the sharp-``b1`` dephasing and unsharp-``b2`` channels.
+def _channel_bloch(v, step: SequentialChannelStep) -> tuple[float, float, float]:
+    """Bloch part of the non-selective channel, which is self-dual:
 
-    Trace-preserving and unital; in Bloch form
-
-        n -> (n.a1) a1 / 2 + [sqrt(1-lam^2) n + (n.a2)(1-sqrt(1-lam^2)) a2] / 2.
+        v -> (v.a1) a1 / 2 + [sqrt(1-lam^2) v + (v.a2)(1-sqrt(1-lam^2)) a2] / 2.
     """
-    n = rho.bloch_vector
     a1, a2 = step.b1.bloch, step.b2.bloch
     lam2 = step.lam * step.lam
     root = math.sqrt(1.0 - lam2)
     shrink = _one_minus_sqrt1m(lam2)
-    n_a1 = sum(a * c for a, c in zip(a1, n))
-    n_a2 = sum(a * c for a, c in zip(a2, n))
-    out = tuple(
-        0.5 * (n_a1 * u1 + root * c + n_a2 * shrink * u2)
-        for u1, u2, c in zip(a1, a2, n)
+    v_a1 = sum(a * c for a, c in zip(a1, v))
+    v_a2 = sum(a * c for a, c in zip(a2, v))
+    return tuple(
+        0.5 * (v_a1 * u1 + root * c + v_a2 * shrink * u2)
+        for u1, u2, c in zip(a1, a2, v)
     )
-    return DensityOp.from_bloch(out)
+
+
+def nonselective_step(rho: DensityOp, step: SequentialChannelStep) -> DensityOp:
+    """Equal mixture of the sharp-``b1`` dephasing and unsharp-``b2`` channels.
+
+    Trace-preserving and unital; see ``_channel_bloch`` for the Bloch map.
+    """
+    return DensityOp.from_bloch(_channel_bloch(rho.bloch_vector, step))
 
 
 def transport_observable(b: SharpObservable, step: SequentialChannelStep) -> HermitianOp:
@@ -177,15 +181,4 @@ def transport_observable(b: SharpObservable, step: SequentialChannelStep) -> Her
     step axes are orthogonal; in that case ``b1`` is rescaled by
     ``(1 + sqrt(1-lam^2))/2`` and ``b2`` by ``1/2``.
     """
-    a1, a2 = step.b1.bloch, step.b2.bloch
-    v = b.bloch
-    lam2 = step.lam * step.lam
-    root = math.sqrt(1.0 - lam2)
-    shrink = _one_minus_sqrt1m(lam2)
-    v_a1 = sum(a * c for a, c in zip(a1, v))
-    v_a2 = sum(a * c for a, c in zip(a2, v))
-    out = tuple(
-        0.5 * (v_a1 * u1 + root * c + v_a2 * shrink * u2)
-        for u1, u2, c in zip(a1, a2, v)
-    )
-    return HermitianOp(b.trace_part, out)
+    return HermitianOp(b.trace_part, _channel_bloch(b.bloch, step))

@@ -167,7 +167,10 @@ def cmd_schedule(args, out: Path) -> int:
     if args.omega == "auto":
         omega = find_omega(args.n, args.r, args.epsilon)
     else:
-        omega = mp.mpf(args.omega)
+        try:
+            omega = mp.mpf(args.omega)
+        except ValueError as exc:
+            raise DomainError(f"bad omega {args.omega!r}") from exc
     s = lambda_sequence(omega, args.r, args.epsilon, args.n)
     payload = _schedule_payload(s)
     _write_json(out / "schedule.json", payload)
@@ -262,11 +265,14 @@ def cmd_simulate(args, out: Path) -> int:
     try:
         omega = float(raw["omega"])
         r = float(raw.get("r", "1.0"))
-        lams = _parse_lambdas(raw["lambdas"])
+        lambdas = raw["lambdas"]
         shots = int(raw["shots"])
         seed = int(raw["seed"])
     except KeyError as exc:
         raise DomainError(f"config missing key {exc.args[0]!r}") from exc
+    except ValueError as exc:
+        raise DomainError(f"{cfg_path}: {exc}") from exc
+    lams = _parse_lambdas(lambdas)
     for lam in lams:
         if not 0.0 < lam <= 1.0:
             print(f"rejected: lambda {lam} outside (0, 1]", file=sys.stderr)

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import SequentialChannelStep, nonselective_step
-from .errors import DomainError
+from .errors import AxisError, DomainError
 from .rac import PreparationFamily
-from .sequential import per_bob_success, propagate
+from .sequential import _check_axes, per_bob_success, propagate
 
 RNG_ALGORITHM = "philox4x64/shard65536"
 SHARD_SIZE = 1 << 16
@@ -43,6 +43,12 @@ class SimulationConfig:
             raise DomainError("at least one receiver step is required")
         if self.shots < 1:
             raise DomainError("shots must be >= 1")
+        if not 0 <= self.seed < 1 << 64:
+            raise DomainError(f"seed {self.seed} outside [0, 2^64)")
+        # The kernel works in the frame of steps[0]'s axes
+        _check_axes(self.steps)
+        if not self.steps[0].anticommuting:
+            raise AxisError("step axes must anticommute (orthogonal Bloch axes)")
 
 
 @dataclass(frozen=True)
@@ -62,16 +68,18 @@ class SimulationResult:
     rng_algorithm: str = RNG_ALGORITHM
 
 
-def outcome_to_guess(sign: int) -> int:
-    """Decode an outcome sign into a bit guess: +1 -> 0, -1 -> 1."""
-    if sign not in (+1, -1):
-        raise DomainError(f"outcome sign {sign} not in {{+1, -1}}")
-    return 0 if sign == +1 else 1
-
-
 def _shard(config: SimulationConfig, shard_index: int, m: int):
     """Simulate ``m`` shots of one shard; returns success counts and
-    per-receiver summed post-measurement Bloch vectors."""
+    per-receiver summed post-measurement Bloch vectors.
+
+    Each shot's state is held as coordinates ``(c1, c2, c3)`` in the frame of
+    the step axes.  A sharp outcome ``s`` on ``a1`` collapses the state to
+    ``(s, 0, 0)``; an unsharp outcome ``s`` on ``a2`` maps it to
+    ``(r*c1, s*lam + c2, r*c3) / (1 + s*lam*c2)`` with ``r = sqrt(1-lam^2)``.
+    The two branches are blended with 0/1 weights rather than ``np.where``,
+    which is slow on random masks; a product with a zero weight is an exact
+    zero, so the blend selects exactly.
+    """
     steps = config.steps
     n_rec = len(steps)
     rng = np.random.Generator(
@@ -79,42 +87,42 @@ def _shard(config: SimulationConfig, shard_index: int, m: int):
     )
     u = rng.random((m, 1 + 2 * n_rec))
 
-    prep_bloch = np.array([s.bloch_vector for s in config.prep.states])
-    x = np.minimum((u[:, 0] * 4).astype(np.intp), 3)
-    x1, x2 = x >> 1, x & 1
-    state = prep_bloch[x]
-
+    # Rows a1, a2, a1 x a2: orthonormal, since the axes anticommute
     a1 = np.array(steps[0].b1.bloch)
     a2 = np.array(steps[0].b2.bloch)
+    frame = np.array([a1, a2, np.cross(a1, a2)])
+    prep = np.array([s.bloch_vector for s in config.prep.states]) @ frame.T
+    x = np.minimum((u[:, 0] * 4).astype(np.intp), 3)
+    bit1_zero = x < 2
+    bit2_zero = (x & 1) == 0
+    c1, c2, c3 = (col.take(x) for col in prep.T)
+    # States in the a1-a2 plane stay there; skip c3 for them
+    planar = not c3.any()
 
     successes = np.zeros(n_rec, dtype=np.int64)
     post_sums = np.zeros((n_rec, 3))
     for k, step in enumerate(steps):
         lam = step.lam
         root = math.sqrt(1.0 - lam * lam)
-        shrink = 1.0 - root
-        pick_y2 = u[:, 1 + 2 * k] >= 0.5
-        n_a1 = state @ a1
-        n_a2 = state @ a2
-        p_plus = np.where(pick_y2, 0.5 * (1.0 + lam * n_a2), 0.5 * (1.0 + n_a1))
-        plus = u[:, 2 + 2 * k] < p_plus
-        sign = np.where(plus, 1.0, -1.0)
-        p_branch = np.where(plus, p_plus, 1.0 - p_plus)
+        unsharp = u[:, 1 + 2 * k] >= 0.5
+        w = unsharp.astype(np.float64)
+        v = 1.0 - w
+        # Born rule: P(+) = (1 + t)/2 with t = c1 (sharp) or lam*c2 (unsharp)
+        t = w * (lam * c2) + v * c1
+        plus = u[:, 2 + 2 * k] < 0.5 * (1.0 + t)
+        want_plus = (unsharp & bit2_zero) | (~unsharp & bit1_zero)
+        successes[k] = m - np.count_nonzero(plus ^ want_plus)
 
-        guess = np.where(plus, 0, 1)
-        target = np.where(pick_y2, x2, x1)
-        successes[k] = np.count_nonzero(guess == target)
+        sign = plus * 2.0 - 1.0
+        inv = 1.0 / (1.0 + sign * t)  # > 0: the drawn branch has P > 0
+        scale = root * inv
+        c1 = w * (c1 * scale) + v * sign
+        c2 = w * ((sign * lam + c2) * inv)
+        if not planar:
+            c3 = w * (c3 * scale)
+        post_sums[k] = c1.sum(), c2.sum(), c3.sum()
 
-        post_sharp = sign[:, None] * a1[None, :]
-        post_unsharp = (
-            sign[:, None] * lam * a2[None, :]
-            + root * state
-            + (n_a2 * shrink)[:, None] * a2[None, :]
-        ) / (2.0 * p_branch[:, None])
-        state = np.where(pick_y2[:, None], post_unsharp, post_sharp)
-        post_sums[k] = state.sum(axis=0)
-
-    return successes, post_sums
+    return successes, post_sums @ frame
 
 
 def run(config: SimulationConfig, threads: int | None = None) -> SimulationResult:
@@ -125,7 +133,11 @@ def run(config: SimulationConfig, threads: int | None = None) -> SimulationResul
     the result.
     """
     if threads is None:
-        threads = int(os.environ.get("SEQRAC_THREADS", "1"))
+        text = os.environ.get("SEQRAC_THREADS", "1")
+        try:
+            threads = int(text)
+        except ValueError as exc:
+            raise DomainError(f"SEQRAC_THREADS={text!r} is not an integer") from exc
     shots = config.shots
     n_rec = len(config.steps)
     shard_sizes = [

@@ -152,6 +152,25 @@ class TestSimulateCommand:
             == EXIT_USAGE
         )
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("omega", "abc"), ("r", "x"), ("shots", "1e6"), ("seed", "s1"), ("seed", "-1")],
+    )
+    def test_malformed_value_is_usage_error(self, tmp_path, key, value):
+        cfg = self.write_config(tmp_path, **{key: value})
+        assert (
+            main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
+            == EXIT_USAGE
+        )
+
+    def test_malformed_thread_env_is_usage_error(self, tmp_path, monkeypatch):
+        cfg = self.write_config(tmp_path, shots="1000")
+        monkeypatch.setenv("SEQRAC_THREADS", "abc")
+        assert (
+            main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
+            == EXIT_USAGE
+        )
+
     def test_missing_file_is_usage_error(self, tmp_path):
         assert (
             main(["simulate", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)])
@@ -177,6 +196,12 @@ class TestExitCodes:
     def test_bad_domain_value_is_usage(self, tmp_path):
         assert (
             main(["schedule", "--n", "0", "--omega", "0.1", "--out", str(tmp_path)])
+            == EXIT_USAGE
+        )
+
+    def test_malformed_omega_is_usage(self, tmp_path):
+        assert (
+            main(["schedule", "--n", "3", "--omega", "xyz", "--out", str(tmp_path)])
             == EXIT_USAGE
         )
 

@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 
 from seqrac import (
+    AxisError,
     DomainError,
+    PreparationFamily,
     SequentialChannelStep,
     SharpObservable,
     SimulationConfig,
+    UnsharpBinaryMeasurement,
     analytic_reference,
-    outcome_to_guess,
     run,
+    selective_outcome,
     square_preparations,
 )
 from seqrac.montecarlo import RNG_ALGORITHM, SHARD_SIZE, _shard
@@ -30,16 +33,6 @@ def two_receiver_config(shots=200_000, seed=42):
     return SimulationConfig(prep, steps, shots, seed)
 
 
-class TestOutcomeDecoding:
-    def test_sign_convention(self):
-        assert outcome_to_guess(+1) == 0
-        assert outcome_to_guess(-1) == 1
-
-    def test_bad_sign(self):
-        with pytest.raises(DomainError):
-            outcome_to_guess(0)
-
-
 class TestConfigValidation:
     def test_requires_steps_and_shots(self):
         prep = square_preparations(0.3)
@@ -47,6 +40,79 @@ class TestConfigValidation:
             SimulationConfig(prep, (), 100, 1)
         with pytest.raises(DomainError):
             SimulationConfig(prep, (SequentialChannelStep(X, Z, 0.5),), 0, 1)
+
+    def test_steps_must_share_axes(self):
+        prep = square_preparations(0.3)
+        steps = (SequentialChannelStep(X, Z, 0.5), SequentialChannelStep(Z, X, 0.5))
+        with pytest.raises(AxisError):
+            SimulationConfig(prep, steps, 100, 1)
+
+    def test_axes_must_anticommute(self):
+        prep = square_preparations(0.3)
+        tilted = SharpObservable.from_axis((0.5, 0.0, math.sqrt(3) / 2))
+        with pytest.raises(AxisError):
+            SimulationConfig(prep, (SequentialChannelStep(X, tilted, 0.5),), 100, 1)
+
+    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    def test_seed_must_fit_philox_key(self, seed):
+        prep = square_preparations(0.3)
+        with pytest.raises(DomainError):
+            SimulationConfig(prep, (SequentialChannelStep(X, Z, 0.5),), 100, seed)
+
+
+def replay_shard(config, shard_index, m):
+    """Scalar replay of ``_shard``: each shot walks the chain through
+    ``selective_outcome``, reading the same Philox uniforms in the same
+    columns (input, then bit choice and outcome per receiver)."""
+    steps = config.steps
+    rng = np.random.Generator(
+        np.random.Philox(key=np.array([config.seed, shard_index], dtype=np.uint64))
+    )
+    u = rng.random((m, 1 + 2 * len(steps)))
+    successes = np.zeros(len(steps), dtype=np.int64)
+    post_sums = np.zeros((len(steps), 3))
+    for row in u:
+        x = min(int(row[0] * 4), 3)
+        rho = config.prep.states[x]
+        for k, step in enumerate(steps):
+            unsharp = row[1 + 2 * k] >= 0.5
+            meas = (
+                UnsharpBinaryMeasurement(step.b2, step.lam)
+                if unsharp
+                else UnsharpBinaryMeasurement(step.b1, 1.0)
+            )
+            plus_branch, minus_branch = selective_outcome(rho, meas)
+            plus = row[2 + 2 * k] < plus_branch.prob
+            target = (x & 1) if unsharp else (x >> 1)
+            successes[k] += plus == (target == 0)
+            rho = (plus_branch if plus else minus_branch).post
+            post_sums[k] += rho.bloch_vector
+    return successes, post_sums
+
+
+class TestScalarOracle:
+    @pytest.mark.parametrize(
+        "prep, b1, b2",
+        [
+            (square_preparations(0.4, 0.9), X, Z),
+            # out-of-plane states and rotated axes exercise the full frame
+            (
+                PreparationFamily.from_bloch_vectors(
+                    [(0.6, 0.3, 0.5), (0.5, -0.4, -0.6), (-0.7, 0.2, 0.4), (-0.3, -0.5, -0.6)]
+                ),
+                SharpObservable.from_axis((0.0, 1.0, 0.0)),
+                SharpObservable.from_axis((1.0, 0.0, 1.0)),
+            ),
+        ],
+    )
+    def test_shard_matches_selective_outcome_replay(self, prep, b1, b2):
+        steps = tuple(SequentialChannelStep(b1, b2, lam) for lam in (0.45, 0.7, 0.95))
+        shots = 2000
+        cfg = SimulationConfig(prep, steps, shots, 20260824)
+        successes, post_sums = _shard(cfg, 3, shots)
+        want_successes, want_sums = replay_shard(cfg, 3, shots)
+        np.testing.assert_array_equal(successes, want_successes)
+        np.testing.assert_allclose(post_sums, want_sums, rtol=0, atol=1e-12 * shots)
 
 
 class TestConvergence:
