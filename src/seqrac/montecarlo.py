@@ -129,8 +129,8 @@ def run(config: SimulationConfig, threads: int | None = None) -> SimulationResul
     """Simulate the full protocol; deterministic given (seed, config).
 
     ``threads`` caps shard parallelism (default: SEQRAC_THREADS env var, or
-    1); the shard decomposition is fixed, so the thread count never changes
-    the result.
+    1); the pool never has more workers than shards or CPUs.  The shard
+    decomposition is fixed, so the thread count never changes the result.
     """
     if threads is None:
         text = os.environ.get("SEQRAC_THREADS", "1")
@@ -138,14 +138,17 @@ def run(config: SimulationConfig, threads: int | None = None) -> SimulationResul
             threads = int(text)
         except ValueError as exc:
             raise DomainError(f"SEQRAC_THREADS={text!r} is not an integer") from exc
+    if threads < 1:
+        raise DomainError(f"thread count {threads} must be >= 1")
     shots = config.shots
     n_rec = len(config.steps)
     shard_sizes = [
         min(SHARD_SIZE, shots - i) for i in range(0, shots, SHARD_SIZE)
     ]
     jobs = list(enumerate(shard_sizes))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(lambda j: _shard(config, j[0], j[1]), jobs))
     else:
         parts = [_shard(config, idx, m) for idx, m in jobs]

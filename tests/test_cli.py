@@ -2,10 +2,12 @@
 
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
 from seqrac.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
+from seqrac.smallangle import POLY_CAP
 
 
 def read_csv(path):
@@ -171,6 +173,17 @@ class TestSimulateCommand:
             == EXIT_USAGE
         )
 
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_nonpositive_thread_count_is_usage_error(self, tmp_path, monkeypatch, source, count):
+        cfg = self.write_config(tmp_path, shots="1000")
+        argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path)]
+        if source == "flag":
+            argv += ["--threads", count]
+        else:
+            monkeypatch.setenv("SEQRAC_THREADS", count)
+        assert main(argv) == EXIT_USAGE
+
     def test_missing_file_is_usage_error(self, tmp_path):
         assert (
             main(["simulate", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)])
@@ -184,6 +197,24 @@ class TestPolyCommand:
         out = capsys.readouterr().out
         assert "(16)*c1^15" in out
         assert (tmp_path / "poly.txt").read_text() == out
+
+    def test_cap_order_matches_value_recurrence(self, capsys):
+        k = POLY_CAP
+        assert main(["poly", "--k", str(k)]) == EXIT_OK
+        line = capsys.readouterr().out.splitlines()[0]
+        head = f"P_{k}(x) = "
+        assert line.startswith(head)
+        terms = line[len(head):].split(" + ")
+        assert len(terms) == 2 ** (k - 1)
+        x = Fraction(1, 3)
+        got = sum(Fraction(t.partition(")*x^")[0].lstrip("(")) * x**n for n, t in enumerate(terms))
+        want = Fraction(1)
+        for j in range(2, k + 1):
+            want += Fraction(2) ** (2 * j - 5) * x * want * want
+        assert got == want
+
+    def test_order_above_cap_is_usage(self):
+        assert main(["poly", "--k", str(POLY_CAP + 1)]) == EXIT_USAGE
 
 
 class TestExitCodes:

@@ -161,6 +161,29 @@ class TestDeterminism:
         monkeypatch.setenv("SEQRAC_THREADS", "4")
         assert run(cfg) == run(cfg, threads=1)
 
+    @pytest.mark.parametrize("cpus, workers", [(8, 3), (2, 2)])
+    def test_pool_bounded_by_shards_and_cpus(self, monkeypatch, cpus, workers):
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr("seqrac.montecarlo.ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr("seqrac.montecarlo.os.cpu_count", lambda: cpus)
+        cfg = two_receiver_config(shots=2 * SHARD_SIZE + 1)
+        assert run(cfg, threads=10_000) == run(cfg, threads=1)
+        assert sizes == [workers]
+
     def test_different_seeds_differ(self):
         a = run(two_receiver_config(shots=50_000, seed=1))
         b = run(two_receiver_config(shots=50_000, seed=2))

@@ -1,6 +1,6 @@
 """Exact-rational polynomial recurrence and the small-angle estimate."""
 
-import math
+import random
 from fractions import Fraction
 
 import mpmath as mp
@@ -15,9 +15,17 @@ from seqrac import (
     omega_estimate,
     small_angle_poly,
 )
-from seqrac.smallangle import POLY_CAP, leading_coefficient_numeric
+from seqrac.smallangle import POLY_CAP, _kronecker_square, leading_coefficient_numeric
 
 F = Fraction
+
+
+def schoolbook_square(coeffs):
+    out = [0] * (2 * len(coeffs) - 1)
+    for i, a in enumerate(coeffs):
+        for j, b in enumerate(coeffs):
+            out[i + j] += a * b
+    return out
 
 
 class TestRationalPolynomial:
@@ -51,6 +59,25 @@ class TestRecurrence:
         for k in range(1, 9):
             assert small_angle_poly(k).degree == 2 ** (k - 1) - 1
 
+    def test_matches_rational_product_recurrence(self):
+        p = RationalPolynomial((F(1),))
+        for k in range(1, 9):
+            if k > 1:
+                bump = (p * p).scale(F(2) ** (2 * k - 5)).shift_up()
+                p = p + bump
+            assert small_angle_poly(k).coefficients == p.coefficients
+
+    def test_kronecker_square_matches_schoolbook(self):
+        rng = random.Random(2024)
+        cases = [[0], [7], [0, 0, 0], [1, 0, 1], [2**200, 1, 0, 3]]
+        for _ in range(60):
+            n = rng.randint(1, 40)
+            cases.append([
+                rng.choice([0, rng.getrandbits(rng.randint(1, 300))]) for _ in range(n)
+            ])
+        for coeffs in cases:
+            assert _kronecker_square(coeffs) == schoolbook_square(coeffs)
+
     def test_order_cap(self):
         with pytest.raises(DomainError):
             small_angle_poly(0)
@@ -77,14 +104,19 @@ class TestOddPowerExpansion:
 
     def test_numeric_recurrence_matches_exact(self):
         for k in range(1, 9):
-            exact = leading_coefficient(k, 0.5)
+            # c_k = 2^(k-1) * c1 * P_k(c1^2) in exact rationals at c1 = 1/2
+            exact = float(2 ** (k - 1) * F(1, 2) * small_angle_poly(k)(F(1, 4)))
+            assert leading_coefficient(k, 0.5) == pytest.approx(exact, rel=1e-15)
             numeric = leading_coefficient_numeric(k, mp.mpf("0.5"))
-            assert float(numeric) == pytest.approx(float(exact), rel=1e-12)
+            assert float(numeric) == pytest.approx(exact, rel=1e-12)
 
     def test_numeric_recurrence_has_no_cap(self):
         # doubly exponential growth: far beyond double range, still finite
         big = leading_coefficient_numeric(16, mp.mpf("0.50005"))
         assert big > mp.mpf("1e9000")
+        assert leading_coefficient(16, 0.50005) > mp.mpf("1e9000")
+        with pytest.raises(DomainError):
+            leading_coefficient(0, 0.5)
 
 
 class TestOmegaEstimate:
@@ -105,7 +137,26 @@ class TestOmegaEstimate:
             want = 1.0 / leading_coefficient(k, 0.5)
             assert omega_estimate(k, 1.0, 0.0) == pytest.approx(want, rel=1e-12)
 
+    def test_underflow_returns_arbitrary_precision(self):
+        k, r, eps = 10, 0.35, 1e-2
+        est = omega_estimate(k, r, eps)
+        # reference: the odd-power expansion of c_k, linearised in eps
+        with mp.workdps(60):
+            c0, e = 1 / (2 * mp.mpf(r)), mp.mpf(eps)
+            den = sum(
+                mp.mpf(b.numerator) * (1 + (2 * n + 1) * e) * c0 ** (2 * n + 1)
+                for n, b in enumerate(odd_power_expansion(k))
+            )
+            assert isinstance(est, mp.mpf) and est > 0
+            assert abs(est * den - 1) < 1e-9
+
+    def test_no_order_cap(self):
+        est = omega_estimate(POLY_CAP + 4, 1.0, 1e-4)
+        assert isinstance(est, mp.mpf) and 0 < est < mp.mpf("1e-1000")
+
     def test_domain_checks(self):
+        with pytest.raises(DomainError):
+            omega_estimate(0, 1.0, 1e-4)
         with pytest.raises(DomainError):
             omega_estimate(4, 0.0, 1e-4)
         with pytest.raises(DomainError):
