@@ -5,7 +5,6 @@ from .bloch import (
     HermitianOp,
     SharpObservable,
     distinguishability,
-    guessing_probability,
     helstrom_observable,
     trace_norm,
 )
@@ -15,7 +14,6 @@ from .channel import (
     UnsharpBinaryMeasurement,
     kraus_pair,
     nonselective_step,
-    projective_dephase,
     selective_outcome,
     transport_observable,
 )
@@ -40,7 +38,6 @@ from .rac import (
     DistinguishabilityPair,
     PreparationFamily,
     ThresholdReport,
-    advantage_predicate,
     avg_success,
     delta_pair,
     marginals,
@@ -53,7 +50,6 @@ from .schedule import (
     feasibility_report,
     find_omega,
     lambda_sequence,
-    max_feasible_receivers,
 )
 from .sequential import (
     SequentialTrace,

@@ -12,18 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DegeneratePair, InvalidState
 
 STATE_TOL = 1e-12
 DEGENERACY_TOL = 1e-12
-
-_PAULI = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
 
 
 def _as_vec(v) -> tuple[float, float, float]:
@@ -50,13 +42,6 @@ class HermitianOp:
         """Eigenvalues ``trace_part +- |bloch|``, largest first."""
         b = self.bloch_norm
         return (self.trace_part + b, self.trace_part - b)
-
-    def matrix(self) -> np.ndarray:
-        """Explicit complex 2x2 matrix; used as a test oracle only."""
-        m = self.trace_part * np.eye(2, dtype=complex)
-        for c, p in zip(self.bloch, _PAULI):
-            m = m + c * p
-        return m
 
     def __add__(self, other: "HermitianOp") -> "HermitianOp":
         return HermitianOp(
@@ -154,14 +139,3 @@ def helstrom_observable(rho0: DensityOp, rho1: DensityOp) -> SharpObservable:
     if d.bloch_norm <= DEGENERACY_TOL:
         raise DegeneratePair("states are operationally equivalent")
     return SharpObservable.from_axis(d.bloch)
-
-
-def guessing_probability(rho0: DensityOp, rho1: DensityOp, b: SharpObservable) -> float:
-    """Success probability of guess-0-on-plus discrimination with observable b.
-
-    Equals ``(tr[rho0 E+] + tr[rho1 E-]) / 2`` with ``E+- = (I +- b)/2``; for
-    the optimal (Helstrom) observable this is ``(1 + distinguishability)/2``.
-    """
-    # tr[rho E+-] = (1 +- n.b)/2 with n the Bloch vector of rho
-    d = rho0 - rho1
-    return 0.5 + 0.5 * d.dot_bloch(b)

@@ -142,13 +142,6 @@ def selective_outcome(
     return branches[0], branches[1]
 
 
-def projective_dephase(rho: DensityOp, b: SharpObservable) -> DensityOp:
-    """Non-selective sharp measurement of ``b``: keep only the axis component."""
-    n = rho.bloch_vector
-    n_dot_b = sum(a * c for a, c in zip(b.bloch, n))
-    return DensityOp.from_bloch(tuple(n_dot_b * a for a in b.bloch))
-
-
 def _channel_bloch(v, step: SequentialChannelStep) -> tuple[float, float, float]:
     """Bloch part of the non-selective channel, which is self-dual:
 

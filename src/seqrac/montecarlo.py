@@ -10,18 +10,17 @@ reproduce the non-selective channel.
 
 Randomness comes from counter-based Philox streams keyed by
 ``(seed, shard_index)`` with a fixed shard size, so results are bit-identical
-no matter how shards are scheduled across threads.
+no matter how shards are scheduled across threads.  numpy and the thread
+pool are imported on first use, so importing this module stays cheap.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-import numpy as np
-
+from .bloch import DensityOp
 from .channel import SequentialChannelStep, nonselective_step
 from .errors import AxisError, DomainError
 from .rac import PreparationFamily
@@ -80,6 +79,8 @@ def _shard(config: SimulationConfig, shard_index: int, m: int):
     which is slow on random masks; a product with a zero weight is an exact
     zero, so the blend selects exactly.
     """
+    import numpy as np
+
     steps = config.steps
     n_rec = len(steps)
     rng = np.random.Generator(
@@ -132,6 +133,8 @@ def run(config: SimulationConfig, threads: int | None = None) -> SimulationResul
     1); the pool never has more workers than shards or CPUs.  The shard
     decomposition is fixed, so the thread count never changes the result.
     """
+    import numpy as np  # before the pool starts, so no worker races the first import
+
     if threads is None:
         text = os.environ.get("SEQRAC_THREADS", "1")
         try:
@@ -148,6 +151,8 @@ def run(config: SimulationConfig, threads: int | None = None) -> SimulationResul
     jobs = list(enumerate(shard_sizes))
     workers = min(threads, len(jobs), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(lambda j: _shard(config, j[0], j[1]), jobs))
     else:
@@ -176,6 +181,8 @@ def analytic_reference(config: SimulationConfig):
     channel, matching what the simulation's outcome-averaged collapsed
     states should reproduce.
     """
+    import numpy as np
+
     steps = list(config.steps)
     trace = propagate(config.prep, steps)
     successes = [
@@ -184,8 +191,6 @@ def analytic_reference(config: SimulationConfig):
     ]
     avg = np.mean([s.bloch_vector for s in config.prep.states], axis=0)
     mean_states = []
-    from .bloch import DensityOp
-
     rho = DensityOp.from_bloch(tuple(avg))
     for step in steps:
         rho = nonselective_step(rho, step)

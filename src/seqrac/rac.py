@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .bloch import DensityOp, distinguishability
 from .channel import UnsharpBinaryMeasurement
 from .errors import DegenerateThreshold, DomainError
@@ -125,16 +123,6 @@ def avg_success(
     return total / 8.0
 
 
-def advantage_predicate(
-    dp: DistinguishabilityPair, lambda1: float, lambda2: float
-) -> bool:
-    """True iff ``lam1*Delta1 + lam2*Delta2 > 1`` strictly (success > 3/4)."""
-    for lam in (lambda1, lambda2):
-        if not 0.0 <= lam <= 1.0:
-            raise DomainError(f"unsharpness {lam} outside [0, 1]")
-    return lambda1 * dp.delta1 + lambda2 * dp.delta2 > 1.0
-
-
 def thresholds(dp: DistinguishabilityPair, strict: bool = False) -> ThresholdReport:
     """Symmetric and asymmetric critical unsharpness for a delta pair.
 
@@ -162,12 +150,14 @@ def thresholds(dp: DistinguishabilityPair, strict: bool = False) -> ThresholdRep
     )
 
 
-def _family_delta_sq(vectors: np.ndarray) -> np.ndarray:
+def _family_delta_sq(vectors):
     """Delta1^2 + Delta2^2 for a batch of families.
 
     ``vectors`` has shape (count, 4, 3); index 4 orders the states as
     (00, 01, 10, 11).
     """
+    import numpy as np
+
     m0_1 = 0.5 * (vectors[:, 0] + vectors[:, 1])
     m1_1 = 0.5 * (vectors[:, 2] + vectors[:, 3])
     m0_2 = 0.5 * (vectors[:, 0] + vectors[:, 2])
@@ -177,10 +167,10 @@ def _family_delta_sq(vectors: np.ndarray) -> np.ndarray:
     return d1**2 + d2**2
 
 
-def sample_bloch_vectors(
-    count: int, seed: int, pure: bool = False
-) -> np.ndarray:
+def sample_bloch_vectors(count: int, seed: int, pure: bool = False):
     """(count, 4, 3) Bloch vectors, uniform in the ball or on the sphere."""
+    import numpy as np
+
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     v = rng.normal(size=(count, 4, 3))
     v /= np.linalg.norm(v, axis=2, keepdims=True)

@@ -61,6 +61,13 @@ class Schedule:
     first_failure: Optional[int]
 
 
+def _check_r_epsilon(r: mp.mpf, epsilon: mp.mpf) -> None:
+    if not 0 < r <= 1:
+        raise DomainError(f"r {r} outside (0, 1]")
+    if not epsilon > 0:
+        raise DomainError("epsilon must be > 0")
+
+
 def lambda_sequence(
     omega, r, epsilon, n: int, dps: int = DEFAULT_DPS
 ) -> Schedule:
@@ -78,10 +85,7 @@ def lambda_sequence(
         epsilon = mp.mpf(epsilon)
         if not 0 < omega < mp.pi / 2:
             raise DomainError(f"omega {omega} outside (0, pi/2)")
-        if not 0 < r <= 1:
-            raise DomainError(f"r {r} outside (0, 1]")
-        if not epsilon > 0:
-            raise DomainError("epsilon must be > 0")
+        _check_r_epsilon(r, epsilon)
 
         sin_w = mp.sin(omega)
         half = omega / 2
@@ -141,21 +145,6 @@ def feasibility_report(s: Schedule) -> tuple[bool, bool, Optional[int]]:
     return feasible, monotone_doubling, s.first_failure
 
 
-def max_feasible_receivers(omega, r, epsilon, cap: int) -> int:
-    """Largest n <= cap with a feasible schedule at this opening angle.
-
-    Each lam depends only on its predecessors, so one length-``cap`` run
-    determines the answer.
-    """
-    cap = int(cap)
-    if cap < 1:
-        raise DomainError("cap must be >= 1")
-    s = lambda_sequence(omega, r, epsilon, cap)
-    if s.feasible:
-        return cap
-    return s.first_failure - 1
-
-
 def find_omega(
     n: int, r, epsilon, dps: int = DEFAULT_DPS, floor=OMEGA_FLOOR
 ) -> mp.mpf:
@@ -173,6 +162,7 @@ def find_omega(
     with mp.workdps(dps):
         r = mp.mpf(r)
         epsilon = mp.mpf(epsilon)
+        _check_r_epsilon(r, epsilon)
         upper_limit = (mp.pi / 2) * (1 - mp.mpf("1e-12"))
 
         def ok(w) -> bool:

@@ -60,22 +60,6 @@ class RationalPolynomial:
                 out[i + j] += a * b
         return RationalPolynomial(tuple(out))
 
-    def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        n = max(len(self.coefficients), len(other.coefficients))
-        out = [Fraction(0)] * n
-        for i, a in enumerate(self.coefficients):
-            out[i] += a
-        for i, b in enumerate(other.coefficients):
-            out[i] += b
-        return RationalPolynomial(tuple(out))
-
-    def scale(self, s: Fraction) -> "RationalPolynomial":
-        return RationalPolynomial(tuple(s * c for c in self.coefficients))
-
-    def shift_up(self) -> "RationalPolynomial":
-        """Multiply by x."""
-        return RationalPolynomial((Fraction(0),) + self.coefficients)
-
 
 def _check_order(k: int) -> int:
     k = int(k)
@@ -144,9 +128,6 @@ def leading_coefficient(k: int, c1: float):
     Returns a float when it is a normal double, otherwise an mpmath value
     (the coefficients grow doubly exponentially in k).
     """
-    k = _check_order(k)
-    if c1 <= 0:
-        raise DomainError("c1 must be positive")
     with mp.workdps(40):
         return _float_if_normal(leading_coefficient_numeric(k, c1))
 
@@ -157,7 +138,10 @@ def leading_coefficient_numeric(k: int, c1) -> mp.mpf:
     Used to bracket feasible opening angles for large receiver counts,
     where the exact polynomial would be astronomically large.
     """
+    k = _check_order(k)
     c1 = mp.mpf(c1)
+    if c1 <= 0:
+        raise DomainError("c1 must be positive")
     x = c1 * c1
     p = mp.mpf(1)  # P_1
     for j in range(2, k + 1):

@@ -1,3 +1,20 @@
+import numpy as np
+
+_PAULI = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+
+
+def matrix(op) -> np.ndarray:
+    """Explicit complex 2x2 matrix of a HermitianOp: the tests' oracle."""
+    m = op.trace_part * np.eye(2, dtype=complex)
+    for c, p in zip(op.bloch, _PAULI):
+        m = m + c * p
+    return m
+
+
 def pytest_configure(config):
     config.acceptance_lines = []
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import matrix
 from seqrac import (
     DegeneratePair,
     DensityOp,
@@ -14,7 +15,6 @@ from seqrac import (
     InvalidState,
     SharpObservable,
     distinguishability,
-    guessing_probability,
     helstrom_observable,
     trace_norm,
 )
@@ -22,6 +22,13 @@ from seqrac import (
 
 def _matrix_trace_norm(a: np.ndarray) -> float:
     return float(np.sum(np.abs(np.linalg.eigvalsh(a))))
+
+
+def guessing_probability(rho0, rho1, b) -> float:
+    """Guess 0 on outcome +1: ``(tr[rho0 E+] + tr[rho1 E-]) / 2``, ``E+- = (I +- b)/2``."""
+    e_plus = 0.5 * (np.eye(2) + matrix(b))
+    e_minus = np.eye(2) - e_plus
+    return 0.5 * np.trace(matrix(rho0) @ e_plus + matrix(rho1) @ e_minus).real
 
 
 unit_interval = st.floats(min_value=-1.0, max_value=1.0)
@@ -35,7 +42,7 @@ def ball_vectors(draw_tuples):
 class TestHermitianOp:
     def test_eigenvalues_match_matrix(self):
         op = HermitianOp(0.3, (0.1, -0.4, 0.2))
-        want = np.linalg.eigvalsh(op.matrix())
+        want = np.linalg.eigvalsh(matrix(op))
         got = sorted(op.eigenvalues())
         assert got == pytest.approx(sorted(want), abs=1e-14)
 
@@ -44,13 +51,13 @@ class TestHermitianOp:
     def test_linear_structure(self, t1, v1, t2, v2):
         a, b = HermitianOp(t1, v1), HermitianOp(t2, v2)
         np.testing.assert_allclose(
-            (a + b).matrix(), a.matrix() + b.matrix(), atol=1e-12
+            matrix(a + b), matrix(a) + matrix(b), atol=1e-12
         )
         np.testing.assert_allclose(
-            (a - b).matrix(), a.matrix() - b.matrix(), atol=1e-12
+            matrix(a - b), matrix(a) - matrix(b), atol=1e-12
         )
         np.testing.assert_allclose(
-            (0.7 * a).matrix(), 0.7 * a.matrix(), atol=1e-12
+            matrix(0.7 * a), 0.7 * matrix(a), atol=1e-12
         )
 
     @given(st.floats(-2, 2), bloch3, st.floats(-2, 2), bloch3)
@@ -58,14 +65,14 @@ class TestHermitianOp:
     def test_dot_bloch_is_hilbert_schmidt_part(self, t1, v1, t2, v2):
         # tr(A B) = 2(t1 t2 + v1.v2); dot_bloch exposes the v1.v2 piece
         a, b = HermitianOp(t1, v1), HermitianOp(t2, v2)
-        hs = np.trace(a.matrix() @ b.matrix()).real
+        hs = np.trace(matrix(a) @ matrix(b)).real
         assert hs == pytest.approx(2 * (t1 * t2 + a.dot_bloch(b)), abs=1e-10)
 
 
 class TestDensityOp:
     def test_matrix_is_valid_state(self):
         rho = DensityOp.from_bloch((0.3, -0.2, 0.5))
-        m = rho.matrix()
+        m = matrix(rho)
         assert np.trace(m).real == pytest.approx(1.0, abs=1e-15)
         assert min(np.linalg.eigvalsh(m)) >= -1e-15
         np.testing.assert_allclose(m, m.conj().T, atol=1e-15)
@@ -92,14 +99,14 @@ class TestSharpObservable:
 
     def test_square_is_identity(self):
         b = SharpObservable.from_axis((1.0, 2.0, -2.0))
-        np.testing.assert_allclose(b.matrix() @ b.matrix(), np.eye(2), atol=1e-14)
+        np.testing.assert_allclose(matrix(b) @ matrix(b), np.eye(2), atol=1e-14)
 
     def test_anticommutes_with(self):
         x = SharpObservable.from_axis((1.0, 0.0, 0.0))
         z = SharpObservable.from_axis((0.0, 0.0, 1.0))
         assert x.anticommutes_with(z)
         assert not x.anticommutes_with(x)
-        m = x.matrix() @ z.matrix() + z.matrix() @ x.matrix()
+        m = matrix(x) @ matrix(z) + matrix(z) @ matrix(x)
         np.testing.assert_allclose(m, 0.0, atol=1e-15)
 
 
@@ -112,14 +119,14 @@ class TestTraceNorm:
         r0, r1 = DensityOp.from_bloch(n0), DensityOp.from_bloch(n1)
         diff = r0 - r1
         assert trace_norm(diff) == pytest.approx(
-            _matrix_trace_norm(diff.matrix()), abs=1e-12
+            _matrix_trace_norm(matrix(diff)), abs=1e-12
         )
 
     def test_distinguishability_is_half_trace_norm(self):
         r0 = DensityOp.from_bloch((0.2, 0.1, 0.6))
         r1 = DensityOp.from_bloch((-0.3, 0.0, 0.1))
         assert distinguishability(r0, r1) == pytest.approx(
-            0.5 * _matrix_trace_norm((r0 - r1).matrix()), abs=1e-14
+            0.5 * _matrix_trace_norm(matrix(r0 - r1)), abs=1e-14
         )
 
     def test_orthogonal_pure_states_saturate(self):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import matrix
 from seqrac import (
     DensityOp,
     DomainError,
@@ -16,7 +17,6 @@ from seqrac import (
     ZeroProbabilityBranch,
     kraus_pair,
     nonselective_step,
-    projective_dephase,
     selective_outcome,
     transport_observable,
 )
@@ -40,7 +40,7 @@ class TestEffects:
         m = UnsharpBinaryMeasurement(SharpObservable.from_axis(axis), lam)
         e_plus, e_minus = m.effect(+1), m.effect(-1)
         np.testing.assert_allclose(
-            e_plus.matrix() + e_minus.matrix(), np.eye(2), atol=1e-14
+            matrix(e_plus) + matrix(e_minus), np.eye(2), atol=1e-14
         )
         assert min(e_plus.eigenvalues()) >= -1e-15
         assert min(e_minus.eigenvalues()) >= -1e-15
@@ -51,7 +51,7 @@ class TestEffects:
         m = UnsharpBinaryMeasurement(Z, lam)
         rho = DensityOp.from_bloch(n)
         for sign in (+1, -1):
-            born = np.trace(m.effect(sign).matrix() @ rho.matrix()).real
+            born = np.trace(matrix(m.effect(sign)) @ matrix(rho)).real
             assert m.outcome_probability(rho, sign) == pytest.approx(born, abs=1e-13)
 
     def test_lambda_domain_enforced(self):
@@ -69,13 +69,13 @@ class TestKrausPair:
         kp = kraus_pair(b, lam)
         m = UnsharpBinaryMeasurement(b, lam)
         np.testing.assert_allclose(
-            kp.k_plus.matrix() @ kp.k_plus.matrix(),
-            m.effect(+1).matrix(),
+            matrix(kp.k_plus) @ matrix(kp.k_plus),
+            matrix(m.effect(+1)),
             atol=1e-14,
         )
         np.testing.assert_allclose(
-            kp.k_minus.matrix() @ kp.k_minus.matrix(),
-            m.effect(-1).matrix(),
+            matrix(kp.k_minus) @ matrix(kp.k_minus),
+            matrix(m.effect(-1)),
             atol=1e-14,
         )
 
@@ -100,12 +100,12 @@ class TestSelectiveOutcome:
         rho = DensityOp.from_bloch(n)
         kp = kraus_pair(b, lam)
         for branch, k in zip(selective_outcome(rho, m), (kp.k_plus, kp.k_minus)):
-            raw = k.matrix() @ rho.matrix() @ k.matrix()
+            raw = matrix(k) @ matrix(rho) @ matrix(k)
             prob = np.trace(raw).real
             assert branch.prob == pytest.approx(prob, abs=1e-13)
             if branch.prob >= 1e-12:
                 np.testing.assert_allclose(
-                    branch.post.matrix(), raw / prob, atol=1e-11
+                    matrix(branch.post), raw / prob, atol=1e-11
                 )
 
     def test_probabilities_sum_to_one(self):
@@ -138,13 +138,14 @@ class TestNonselective:
         rho = DensityOp.from_bloch(n)
         kp = kraus_pair(Z, lam)
         unsharp = (
-            kp.k_plus.matrix() @ rho.matrix() @ kp.k_plus.matrix()
-            + kp.k_minus.matrix() @ rho.matrix() @ kp.k_minus.matrix()
+            matrix(kp.k_plus) @ matrix(rho) @ matrix(kp.k_plus)
+            + matrix(kp.k_minus) @ matrix(rho) @ matrix(kp.k_minus)
         )
-        sharp = projective_dephase(rho, X).matrix()
+        projectors = [0.5 * (np.eye(2) + s * matrix(X)) for s in (+1, -1)]
+        sharp = sum(p @ matrix(rho) @ p for p in projectors)
         want = 0.5 * sharp + 0.5 * unsharp
         np.testing.assert_allclose(
-            nonselective_step(rho, step).matrix(), want, atol=1e-13
+            matrix(nonselective_step(rho, step)), want, atol=1e-13
         )
 
     @given(lam_values, ball)
@@ -155,11 +156,6 @@ class TestNonselective:
         assert out.trace_part == pytest.approx(0.5, abs=1e-15)
         fixed = nonselective_step(DensityOp.from_bloch((0.0, 0.0, 0.0)), step)
         assert fixed.bloch_vector == pytest.approx((0.0, 0.0, 0.0), abs=1e-15)
-
-    def test_dephase_keeps_axis_component(self):
-        rho = DensityOp.from_bloch((0.3, 0.4, 0.5))
-        out = projective_dephase(rho, X)
-        assert out.bloch_vector == pytest.approx((0.3, 0.0, 0.0), abs=1e-15)
 
 
 class TestTransportObservable:
@@ -172,8 +168,8 @@ class TestTransportObservable:
         moved = transport_observable(b, step)
         for n in [(0.2, 0.1, -0.4), (0.0, 0.9, 0.0), (-0.5, 0.5, 0.5)]:
             rho = DensityOp.from_bloch(n)
-            lhs = np.trace(moved.matrix() @ rho.matrix()).real
-            rhs = np.trace(b.matrix() @ nonselective_step(rho, step).matrix()).real
+            lhs = np.trace(matrix(moved) @ matrix(rho)).real
+            rhs = np.trace(matrix(b) @ matrix(nonselective_step(rho, step))).real
             assert lhs == pytest.approx(rhs, abs=1e-13)
 
     def test_orthogonal_axes_scaling(self):

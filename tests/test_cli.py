@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -235,6 +239,47 @@ class TestExitCodes:
             main(["schedule", "--n", "3", "--omega", "xyz", "--out", str(tmp_path)])
             == EXIT_USAGE
         )
+
+    def test_negative_r_with_auto_omega_is_usage(self, tmp_path, capsys):
+        argv = ["schedule", "--n", "3", "--r", "-1", "--omega", "auto", "--out", str(tmp_path)]
+        assert main(argv) == EXIT_USAGE
+        assert "error: r -1.0 outside (0, 1]" in capsys.readouterr().err
+
+
+# Runs in a fresh interpreter, so that no other test has loaded numpy yet.
+IMPORT_PATH_SCRIPT = r"""
+import sys
+from pathlib import Path
+
+import seqrac, seqrac.cli
+
+out = sys.argv[1]
+for argv in (
+    ["poly", "--k", "3"],
+    ["schedule", "--n", "3", "--omega", "auto", "--out", out],
+    ["sequence", "--omega", "0.4", "--lambdas", "0.3,0.7", "--out", out],
+    ["thresholds", "--grid", "5", "--out", out],
+    ["region", "--resolution", "5", "--out", out],
+):
+    assert seqrac.cli.main(argv) == 0, argv
+assert "numpy" not in sys.modules, "a numpy-free command loaded numpy"
+
+cfg = Path(out) / "sim.cfg"
+cfg.write_text("omega = 0.3\nlambdas = 0.5\nshots = 1000\nseed = 1\n")
+assert seqrac.cli.main(["simulate", "--config", str(cfg), "--out", out]) == 0
+assert "numpy" in sys.modules
+assert (Path(out) / "simulate.json").is_file()
+"""
+
+
+def test_only_simulate_loads_numpy(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PATH_SCRIPT, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestDeterminism:

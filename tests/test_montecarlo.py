@@ -178,7 +178,7 @@ class TestDeterminism:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr("seqrac.montecarlo.ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr("seqrac.montecarlo.os.cpu_count", lambda: cpus)
         cfg = two_receiver_config(shots=2 * SHARD_SIZE + 1)
         assert run(cfg, threads=10_000) == run(cfg, threads=1)

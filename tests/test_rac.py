@@ -14,7 +14,6 @@ from seqrac import (
     PreparationFamily,
     SharpObservable,
     UnsharpBinaryMeasurement,
-    advantage_predicate,
     avg_success,
     delta_pair,
     helstrom_observable,
@@ -148,13 +147,6 @@ class TestThresholds:
         assert not rep.classical_simplex_violated
         with pytest.raises(DegenerateThreshold):
             thresholds(dp, strict=True)
-
-    def test_advantage_predicate_strictness(self):
-        dp = DistinguishabilityPair(0.5, 0.5)
-        assert not advantage_predicate(dp, 1.0, 1.0)  # boundary is excluded
-        assert advantage_predicate(DistinguishabilityPair(0.6, 0.5), 1.0, 1.0)
-        with pytest.raises(DomainError):
-            advantage_predicate(dp, 1.2, 0.5)
 
 
 class TestDiscBound:

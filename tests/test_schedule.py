@@ -12,7 +12,6 @@ from seqrac import (
     feasibility_report,
     find_omega,
     lambda_sequence,
-    max_feasible_receivers,
     propagate,
     square_preparations,
 )
@@ -50,6 +49,10 @@ class TestLambdaSequence:
         assert got[3] > 1.0
         assert not s.feasible
         assert s.first_failure == 4
+
+    def test_tiny_angle_frozen_value(self):
+        # at omega=1e-6 the doubling cascade exhausts after five receivers
+        assert lambda_sequence(1e-6, 1.0, 1e-4, 8).first_failure == 6
 
     def test_feasible_point_below_boundary(self):
         s = lambda_sequence(0.03125, 1.0, 1e-4, 4)
@@ -89,20 +92,6 @@ class TestLambdaSequence:
             lambda_sequence(0.3, 1.0, 1e-4, 0)
 
 
-class TestMaxFeasibleReceivers:
-    def test_near_quartic_boundary(self):
-        assert max_feasible_receivers(0.0315, 1.0, 1e-4, 16) == 3
-        assert max_feasible_receivers(0.03125, 1.0, 1e-4, 4) == 4
-
-    def test_tiny_angle_frozen_value(self):
-        # at omega=1e-6 the doubling cascade exhausts after five receivers
-        assert max_feasible_receivers(1e-6, 1.0, 1e-4, 8) == 5
-
-    def test_cap_domain(self):
-        with pytest.raises(DomainError):
-            max_feasible_receivers(0.3, 1.0, 1e-4, 0)
-
-
 class TestFindOmega:
     def test_quartic_boundary_location(self):
         w = find_omega(4, 1.0, 1e-4)
@@ -124,6 +113,16 @@ class TestFindOmega:
         assert lambda_sequence(w16, 1.0, 1e-4, 16).feasible
         assert w16 < mp.mpf("1e-9000")
         assert w16 > OMEGA_FLOOR
+
+    def test_domain_checks_name_the_bad_parameter(self):
+        with pytest.raises(DomainError, match=r"^r -1\.0 outside"):
+            find_omega(3, -1.0, 1e-4)
+        with pytest.raises(DomainError, match="r 1.5 outside"):
+            find_omega(3, 1.5, 1e-4)
+        with pytest.raises(DomainError, match="epsilon must be > 0"):
+            find_omega(3, 1.0, 0.0)
+        with pytest.raises(DomainError, match="epsilon must be > 0"):
+            find_omega(3, 1.0, -1e-4)
 
     def test_monotone_in_receiver_count(self):
         angles = [find_omega(n, 1.0, 1e-4) for n in (2, 3, 4, 5)]
