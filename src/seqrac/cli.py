@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 infeasible schedule, 64 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -23,7 +24,7 @@ import mpmath as mp
 from . import __version__
 from .bloch import SharpObservable
 from .channel import SequentialChannelStep
-from .errors import DomainError, SeqracError
+from .errors import DomainError, SearchExhausted, SeqracError
 from .montecarlo import (
     RNG_ALGORITHM,
     SimulationConfig,
@@ -54,7 +55,9 @@ def _fmt(value) -> str:
 
 
 def _dec(value) -> str:
-    return mp.nstr(mp.mpf(value), DEC_DIGITS)
+    # nstr rounds the mpf's own mantissa; mp.mpf(value) would first round
+    # it to the ambient 53-bit precision.
+    return mp.nstr(value, DEC_DIGITS)
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -165,7 +168,11 @@ def _schedule_payload(s) -> dict:
 
 def cmd_schedule(args, out: Path) -> int:
     if args.omega == "auto":
-        omega = find_omega(args.n, args.r, args.epsilon)
+        try:
+            omega = find_omega(args.n, args.r, args.epsilon)
+        except SearchExhausted as exc:
+            print(f"infeasible: {exc}", file=sys.stderr)
+            return EXIT_INFEASIBLE
     else:
         try:
             omega = mp.mpf(args.omega)
@@ -457,10 +464,15 @@ _HANDLERS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first ``main`` call and reused after it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse uses exit code 2 for usage errors; remap per our contract
         if exc.code not in (0, None):

@@ -34,4 +34,4 @@ class AxisError(SeqracError):
 
 
 class SearchExhausted(SeqracError):
-    """No feasible opening angle was found down to the search floor."""
+    """The opening-angle search used up its evaluations without certifying a point."""

@@ -3,14 +3,19 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 
+import seqrac.cli
+from seqrac import SearchExhausted, find_omega, lambda_sequence
 from seqrac.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
+from seqrac.schedule import DEFAULT_DPS
 from seqrac.smallangle import POLY_CAP
 
 
@@ -89,6 +94,43 @@ class TestScheduleCommand:
         assert code == EXIT_OK
         data = json.loads((tmp_path / "schedule.json").read_text())
         assert data["feasible"] and data["n"] == 5
+
+    def test_dec_fields_carry_thirty_true_digits(self, tmp_path):
+        # n = 19 printed omega_dec 4.18404165604415105...e-78916 when the
+        # value was rounded to a double first; the true digits are ...099...
+        argv = ["schedule", "--n", "19", "--epsilon", "1e-4", "--out", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        data = json.loads((tmp_path / "schedule.json").read_text())
+        s = lambda_sequence(find_omega(19, 1.0, 1e-4), 1.0, 1e-4, 19)
+        pairs = [(data["omega_dec"], s.omega)]
+        for rec, lam, margin in zip(data["receivers"], s.lambdas, s.success_margins):
+            pairs += [(rec["lambda_dec"], lam), (rec["success_margin_dec"], margin)]
+        with mp.workdps(100):
+            for text, value in pairs:
+                assert abs(mp.mpf(text) - value) <= mp.mpf("5e-30") * abs(value), text
+        assert data["omega_dec"].startswith("4.18404165604415099")
+
+    def test_auto_omega_contract(self, tmp_path):
+        rng = random.Random(20261018)
+        for n in range(1, 41):
+            r, eps = rng.uniform(0.3, 1.0), 10 ** rng.uniform(-6, -2)
+            argv = ["schedule", "--n", str(n), "--r", repr(r), "--epsilon", repr(eps),
+                    "--omega", "auto", "--out", str(tmp_path)]
+            assert main(argv) == EXIT_OK, argv
+            data = json.loads((tmp_path / "schedule.json").read_text())
+            assert data["feasible"] and len(data["receivers"]) == n, argv
+            # the printed angle, read back at twice the precision
+            s = lambda_sequence(data["omega_dec"], r, eps, n, dps=2 * DEFAULT_DPS)
+            assert s.feasible, argv
+
+    def test_search_exhausted_is_infeasible(self, tmp_path, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise SearchExhausted("no certified omega")
+
+        monkeypatch.setattr(seqrac.cli, "find_omega", exhausted)
+        argv = ["schedule", "--n", "3", "--out", str(tmp_path)]
+        assert main(argv) == EXIT_INFEASIBLE
+        assert "no certified omega" in capsys.readouterr().err
 
     def test_json_round_trip_is_canonical(self, tmp_path):
         main(["schedule", "--n", "3", "--omega", "0.001", "--out", str(tmp_path)])
@@ -221,6 +263,34 @@ class TestPolyCommand:
         assert main(["poly", "--k", str(POLY_CAP + 1)]) == EXIT_USAGE
 
 
+class TestParserReuse:
+    def test_no_parsed_state_leaks_between_calls(self, tmp_path):
+        runs = (["--n", "3"], ["--n", "4", "--r", "0.5"], ["--n", "3"])
+        got = []
+        for extra in runs:
+            assert main(["schedule", *extra, "--out", str(tmp_path)]) == EXIT_OK
+            data = json.loads((tmp_path / "schedule.json").read_text())
+            got.append((data["n"], data["r"]))
+        assert got == [(3, 1.0), (4, 0.5), (3, 1.0)]
+
+    def test_built_once(self, monkeypatch):
+        builds = []
+        build = seqrac.cli.build_parser
+
+        def counting():
+            builds.append(1)
+            return build()
+
+        monkeypatch.setattr(seqrac.cli, "build_parser", counting)
+        seqrac.cli._parser.cache_clear()
+        try:
+            for _ in range(3):
+                assert main(["poly", "--k", "2"]) == EXIT_OK
+        finally:
+            seqrac.cli._parser.cache_clear()
+        assert len(builds) == 1
+
+
 class TestExitCodes:
     def test_unknown_command_is_usage(self):
         assert main(["nonsense"]) == EXIT_USAGE
@@ -253,6 +323,7 @@ from pathlib import Path
 
 import seqrac, seqrac.cli
 
+assert seqrac.cli._parser.cache_info().currsize == 0, "parser built at import"
 out = sys.argv[1]
 for argv in (
     ["poly", "--k", "3"],

@@ -1,10 +1,12 @@
 """Schedule synthesis: recursion values, feasibility, angle search."""
 
 import math
+import random
 
 import mpmath as mp
 import pytest
 
+import seqrac.schedule
 from seqrac import (
     DomainError,
     SequentialChannelStep,
@@ -15,7 +17,7 @@ from seqrac import (
     propagate,
     square_preparations,
 )
-from seqrac.schedule import OMEGA_FLOOR
+from seqrac.schedule import DEFAULT_DPS, certified
 
 X = SharpObservable.from_axis((1.0, 0.0, 0.0))
 Z = SharpObservable.from_axis((0.0, 0.0, 1.0))
@@ -112,7 +114,29 @@ class TestFindOmega:
         w16 = find_omega(16, 1.0, 1e-4)
         assert lambda_sequence(w16, 1.0, 1e-4, 16).feasible
         assert w16 < mp.mpf("1e-9000")
-        assert w16 > OMEGA_FLOOR
+        assert certified(w16, 1.0, 1e-4, 16)
+        assert print_feasible_at_double_dps(w16, 1.0, 1e-4, 16)
+
+    @pytest.mark.parametrize(
+        "n, exponent",
+        [(20, -157_836), (32, -646_519_160), (64, -2_776_778_686_750_077_744)],
+    )
+    def test_deep_closed_form_is_certified(self, n, exponent):
+        w = find_omega(n, 1.0, 1e-4)
+        with mp.workdps(40):
+            assert int(mp.floor(mp.log10(w))) == exponent
+        assert certified(w, 1.0, 1e-4, n)
+        assert print_feasible_at_double_dps(w, 1.0, 1e-4, n)
+        gap = 1 - lambda_sequence(w, 1.0, 1e-4, n).lambdas[-1]
+        assert float(gap) == pytest.approx(1e-25, rel=1e-3, abs=0)
+
+    def test_precision_grows_with_n(self):
+        # with dps 50 as the working precision at every n, 1 - lam_100 read
+        # 5.5e-23 at dps 50 against 1.4e-22 at dps 100
+        w = find_omega(100, 1.0, 1e-4)
+        gaps = [float(1 - lambda_sequence(w, 1.0, 1e-4, 100, dps=d).lambdas[-1]) for d in (50, 100)]
+        assert gaps[0] == pytest.approx(gaps[1], rel=1e-3, abs=0)
+        assert gaps[1] == pytest.approx(1e-25, rel=1e-3, abs=0)
 
     def test_domain_checks_name_the_bad_parameter(self):
         with pytest.raises(DomainError, match=r"^r -1\.0 outside"):
@@ -127,6 +151,64 @@ class TestFindOmega:
     def test_monotone_in_receiver_count(self):
         angles = [find_omega(n, 1.0, 1e-4) for n in (2, 3, 4, 5)]
         assert all(b < a for a, b in zip(angles, angles[1:]))
+
+    def test_certified_on_seeded_grid(self):
+        for n, r, eps in seeded_grid(64, seed=20261018):
+            w = find_omega(n, r, eps)
+            assert certified(w, r, eps, n), (n, r, eps)
+            assert print_feasible_at_double_dps(w, r, eps, n), (n, r, eps)
+
+    def test_point_evaluations_per_search(self, monkeypatch):
+        calls = []
+        point = seqrac.schedule.lambda_sequence
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return point(*args, **kwargs)
+
+        monkeypatch.setattr(seqrac.schedule, "lambda_sequence", counting)
+        for n, r, eps in seeded_grid(12, seed=7, repeats=3):
+            calls.clear()
+            find_omega(n, r, eps)
+            if n <= 6:
+                assert len(calls) <= 10, (n, r, eps, len(calls))
+            elif n >= 8:
+                assert not calls, (n, r, eps)
+
+
+class TestCertificate:
+    def test_rejects_points_past_the_boundary(self):
+        assert certified(0.03125, 1.0, 1e-4, 4)
+        assert not certified(0.0315, 1.0, 1e-4, 4)
+        assert not certified(1e-6, 1.0, 1e-4, 8)
+
+    def test_undecided_interval_rejects(self):
+        # at 1 - lam_n = 1e-25 the interval straddles 1 unless the
+        # precision covers the 25 digits of the gap
+        w = find_omega(12, 1.0, 1e-4)
+        assert certified(w, 1.0, 1e-4, 12)
+        assert not certified(w, 1.0, 1e-4, 12, dps=5)
+
+    def test_restores_interval_precision(self):
+        before = mp.iv.dps
+        certified(0.03125, 1.0, 1e-4, 4, dps=200)
+        assert mp.iv.dps == before
+
+
+def seeded_grid(n_max, seed, repeats=1):
+    """(n, r, epsilon) for n = 1..n_max, r in [0.3, 1], epsilon log-uniform
+    in [1e-6, 1e-2]."""
+    rng = random.Random(seed)
+    return [
+        (n, rng.uniform(0.3, 1.0), 10 ** rng.uniform(-6, -2))
+        for n in range(1, n_max + 1)
+        for _ in range(repeats)
+    ]
+
+
+def print_feasible_at_double_dps(w, r, eps, n):
+    """Whether the 30-digit print of ``w`` is feasible at twice the dps."""
+    return lambda_sequence(mp.nstr(w, 30), r, eps, n, dps=2 * DEFAULT_DPS).feasible
 
 
 class TestScheduleStructure:
