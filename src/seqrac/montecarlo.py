@@ -9,9 +9,10 @@ analytic values and, after averaging over outcomes, the collapsed states
 reproduce the non-selective channel.
 
 Randomness comes from counter-based Philox streams keyed by
-``(seed, shard_index)`` with a fixed shard size, so results are bit-identical
-no matter how shards are scheduled across threads.  numpy and the thread
-pool are imported on first use, so importing this module stays cheap.
+``(seed, shard_index)`` with a fixed shard size, one 64-bit word per input
+and per receiver decision, so results are bit-identical no matter how shards
+are scheduled across threads.  numpy and the thread pool are imported on
+first use, so importing this module stays cheap.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .errors import AxisError, DomainError
 from .rac import PreparationFamily
 from .sequential import _check_axes, per_bob_success, propagate
 
-RNG_ALGORITHM = "philox4x64/shard65536"
+RNG_ALGORITHM = "philox4x64/shard65536/word-per-receiver"
 SHARD_SIZE = 1 << 16
 
 
@@ -71,13 +72,22 @@ def _shard(config: SimulationConfig, shard_index: int, m: int):
     """Simulate ``m`` shots of one shard; returns success counts and
     per-receiver summed post-measurement Bloch vectors.
 
+    The shard draws one 64-bit Philox word per decision, receiver-major:
+    row 0 holds each shot's input ``x = word >> 62``, and in row ``1 + k``
+    bit 0 picks receiver k's branch (1 = unsharp) while ``word >> 11`` is
+    the 53-bit Born uniform, the value ``Generator.random`` makes from the
+    same word.  The outcome is ``+`` iff ``(word >> 11) < (1 + t) * 2^52``,
+    which is exactly ``u < (1 + t)/2``.
+
     Each shot's state is held as coordinates ``(c1, c2, c3)`` in the frame of
     the step axes.  A sharp outcome ``s`` on ``a1`` collapses the state to
     ``(s, 0, 0)``; an unsharp outcome ``s`` on ``a2`` maps it to
     ``(r*c1, s*lam + c2, r*c3) / (1 + s*lam*c2)`` with ``r = sqrt(1-lam^2)``.
-    The two branches are blended with 0/1 weights rather than ``np.where``,
-    which is slow on random masks; a product with a zero weight is an exact
-    zero, so the blend selects exactly.
+    The two branches are blended with a 0/1 weight ``w`` rather than
+    ``np.where``, which is slow on random masks; a product with a zero weight
+    is an exact zero, so the blend selects exactly.  ``1 + s*t > 0`` always:
+    ``+`` is drawn only when ``(1+t)/2 > u >= 0`` and ``-`` only when
+    ``(1+t)/2 <= u < 1``.
     """
     import numpy as np
 
@@ -86,17 +96,25 @@ def _shard(config: SimulationConfig, shard_index: int, m: int):
     rng = np.random.Generator(
         np.random.Philox(key=np.array([config.seed, shard_index], dtype=np.uint64))
     )
-    u = rng.random((m, 1 + 2 * n_rec))
+    # The same words as Philox.random_raw, drawn faster
+    words = rng.integers(0, 2**64 - 1, size=(1 + n_rec, m), dtype=np.uint64, endpoint=True)
 
     # Rows a1, a2, a1 x a2: orthonormal, since the axes anticommute
     a1 = np.array(steps[0].b1.bloch)
     a2 = np.array(steps[0].b2.bloch)
     frame = np.array([a1, a2, np.cross(a1, a2)])
     prep = np.array([s.bloch_vector for s in config.prep.states]) @ frame.T
-    x = np.minimum((u[:, 0] * 4).astype(np.intp), 3)
-    bit1_zero = x < 2
-    bit2_zero = (x & 1) == 0
-    c1, c2, c3 = (col.take(x) for col in prep.T)
+    # Row 0 becomes the input x in place; bit1, bit2 = x >> 1, x & 1
+    x = np.right_shift(words[0], np.uint64(62), out=words[0]).view(np.int64)
+    # Two blocks rather than a dozen arrays: the allocator then hands back
+    # the same pages shard after shard instead of faulting in fresh ones
+    c1, c2, c3, w, t, sign, tmp = np.empty((7, m))
+    bit1, flip, unsharp, plus, hit = np.empty((5, m), dtype=bool)
+    np.greater_equal(x, 2, out=bit1)
+    np.bitwise_and(x, 1, out=flip, casting="unsafe")
+    flip ^= bit1  # bit1 ^ bit2
+    for dst, col in zip((c1, c2, c3), prep.T):
+        col.take(x, out=dst, mode="clip")  # x < 4; "raise" would buffer
     # States in the a1-a2 plane stay there; skip c3 for them
     planar = not c3.any()
 
@@ -105,25 +123,72 @@ def _shard(config: SimulationConfig, shard_index: int, m: int):
     for k, step in enumerate(steps):
         lam = step.lam
         root = math.sqrt(1.0 - lam * lam)
-        unsharp = u[:, 1 + 2 * k] >= 0.5
-        w = unsharp.astype(np.float64)
-        v = 1.0 - w
+        row = words[1 + k]
+        np.bitwise_and(row, np.uint64(1), out=w, casting="unsafe")
+        np.not_equal(w, 0.0, out=unsharp)
         # Born rule: P(+) = (1 + t)/2 with t = c1 (sharp) or lam*c2 (unsharp)
-        t = w * (lam * c2) + v * c1
-        plus = u[:, 2 + 2 * k] < 0.5 * (1.0 + t)
-        want_plus = (unsharp & bit2_zero) | (~unsharp & bit1_zero)
-        successes[k] = m - np.count_nonzero(plus ^ want_plus)
+        np.multiply(c2, lam, out=t)
+        t -= c1
+        t *= w
+        t += c1
+        np.right_shift(row, np.uint64(11), out=row)
+        np.add(t, 1.0, out=tmp)
+        tmp *= 2.0**52
+        np.less(row, tmp, out=plus)
+        # The decoded bit is bit2 on the unsharp branch, else bit1; a shot
+        # succeeds when it reads + for bit 0 and - for bit 1
+        np.bitwise_and(unsharp, flip, out=hit)
+        hit ^= bit1
+        hit ^= plus
+        successes[k] = np.count_nonzero(hit)
 
-        sign = plus * 2.0 - 1.0
-        inv = 1.0 / (1.0 + sign * t)  # > 0: the drawn branch has P > 0
-        scale = root * inv
-        c1 = w * (c1 * scale) + v * sign
-        c2 = w * ((sign * lam + c2) * inv)
+        np.multiply(plus, 2.0, out=sign)
+        sign -= 1.0
+        inv = t  # t is not needed past this point
+        inv *= sign
+        inv += 1.0
+        np.divide(1.0, inv, out=inv)
+        # c1 = sign + w*(root*c1*inv - sign)
+        c1 *= inv
+        c1 *= root
+        c1 -= sign
+        c1 *= w
+        c1 += sign
+        # c2 = w*(sign*lam + c2)*inv
+        np.multiply(sign, lam, out=tmp)
+        c2 += tmp
+        c2 *= inv
+        c2 *= w
         if not planar:
-            c3 = w * (c3 * scale)
+            c3 *= inv
+            c3 *= root
+            c3 *= w
         post_sums[k] = c1.sum(), c2.sum(), c3.sum()
 
     return successes, post_sums @ frame
+
+
+def _in_order(fn, count: int, workers: int):
+    """Yield ``fn(0), ..., fn(count - 1)`` in order.
+
+    With more than one worker, a thread pool computes up to ``2 * workers``
+    calls ahead of the consumer, so at most that many results are held at
+    once however large ``count`` is.
+    """
+    if workers == 1:
+        yield from map(fn, range(count))
+        return
+    from collections import deque
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        ahead = min(2 * workers, count)
+        window = deque(pool.submit(fn, j) for j in range(ahead))
+        for j in range(count):
+            result = window.popleft().result()
+            if j + ahead < count:
+                window.append(pool.submit(fn, j + ahead))
+            yield result
 
 
 def run(config: SimulationConfig, threads: int | None = None) -> SimulationResult:
@@ -145,22 +210,15 @@ def run(config: SimulationConfig, threads: int | None = None) -> SimulationResul
         raise DomainError(f"thread count {threads} must be >= 1")
     shots = config.shots
     n_rec = len(config.steps)
-    shard_sizes = [
-        min(SHARD_SIZE, shots - i) for i in range(0, shots, SHARD_SIZE)
-    ]
-    jobs = list(enumerate(shard_sizes))
-    workers = min(threads, len(jobs), os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    n_shards = -(-shots // SHARD_SIZE)
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda j: _shard(config, j[0], j[1]), jobs))
-    else:
-        parts = [_shard(config, idx, m) for idx, m in jobs]
+    def shard(j):
+        return _shard(config, j, min(SHARD_SIZE, shots - j * SHARD_SIZE))
 
+    workers = min(threads, n_shards, os.cpu_count() or 1)
     successes = np.zeros(n_rec, dtype=np.int64)
     post_sums = np.zeros((n_rec, 3))
-    for s, p in parts:  # shard order fixed regardless of scheduling
+    for s, p in _in_order(shard, n_shards, workers):  # fixed order, any scheduling
         successes += s
         post_sums += p
 
