@@ -147,15 +147,18 @@ def _channel_bloch(v, step: SequentialChannelStep) -> tuple[float, float, float]
 
         v -> (v.a1) a1 / 2 + [sqrt(1-lam^2) v + (v.a2)(1-sqrt(1-lam^2)) a2] / 2.
     """
-    a1, a2 = step.b1.bloch, step.b2.bloch
+    (a1x, a1y, a1z), (a2x, a2y, a2z) = step.b1.bloch, step.b2.bloch
+    x, y, z = v
     lam2 = step.lam * step.lam
     root = math.sqrt(1.0 - lam2)
     shrink = _one_minus_sqrt1m(lam2)
-    v_a1 = sum(a * c for a, c in zip(a1, v))
-    v_a2 = sum(a * c for a, c in zip(a2, v))
-    return tuple(
-        0.5 * (v_a1 * u1 + root * c + v_a2 * shrink * u2)
-        for u1, u2, c in zip(a1, a2, v)
+    # Left to right from 0.0, as sum() adds, so the sign of a zero is kept.
+    v_a1 = 0.0 + a1x * x + a1y * y + a1z * z
+    v_a2s = (0.0 + a2x * x + a2y * y + a2z * z) * shrink
+    return (
+        0.5 * (v_a1 * a1x + root * x + v_a2s * a2x),
+        0.5 * (v_a1 * a1y + root * y + v_a2s * a2y),
+        0.5 * (v_a1 * a1z + root * z + v_a2s * a2z),
     )
 
 

@@ -123,17 +123,18 @@ def cmd_region(args, out: Path) -> int:
     res = args.resolution
     if res < 2:
         raise DomainError("resolution must be >= 2")
-    rows = []
-    for i in range(res):
-        d1 = i / (res - 1)
-        for j in range(res):
-            d2 = j / (res - 1)
-            rows.append((d1, d2, d1 * d1 + d2 * d2 <= 1.0, d1 + d2 <= 1.0))
-    _write_csv(
-        out / "region.csv",
-        ["delta1", "delta2", "inside_quantum_disc", "inside_classical_simplex"],
-        rows,
-    )
+    # The same text _write_csv makes of the rows (d1, d2, disc, simplex),
+    # with each coordinate's repr taken once instead of once per cell.
+    coords = [(i / (res - 1), repr(i / (res - 1))) for i in range(res)]
+    flag = ("false", "true")
+    lines = ["delta1,delta2,inside_quantum_disc,inside_classical_simplex"]
+    for d1, text1 in coords:
+        sq1 = d1 * d1
+        lines.extend(
+            f"{text1},{text2},{flag[sq1 + d2 * d2 <= 1.0]},{flag[d1 + d2 <= 1.0]}"
+            for d2, text2 in coords
+        )
+    (out / "region.csv").write_text("\n".join(lines) + "\n")
     _write_manifest(out, "region", {"resolution": res}, [out / "region.csv"])
     return EXIT_OK
 
@@ -479,10 +480,10 @@ def main(argv=None) -> int:
             return EXIT_USAGE
         return 0
     out = None
-    if getattr(args, "out", None) is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
     try:
+        if getattr(args, "out", None) is not None:
+            out = Path(args.out)
+            out.mkdir(parents=True, exist_ok=True)
         return _HANDLERS[args.command](args, out)
     except (SeqracError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -78,6 +78,8 @@ def _check_r_epsilon(r: mp.mpf, epsilon: mp.mpf) -> None:
         raise DomainError(f"r {r} outside (0, 1]")
     if not epsilon > 0:
         raise DomainError("epsilon must be > 0")
+    if not mp.isfinite(epsilon):
+        raise DomainError(f"epsilon {epsilon} is not finite")
 
 
 def _check_n(n) -> int:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import matrix
@@ -20,6 +20,7 @@ from seqrac import (
     selective_outcome,
     transport_observable,
 )
+from seqrac.channel import _channel_bloch
 
 X = SharpObservable.from_axis((1.0, 0.0, 0.0))
 Z = SharpObservable.from_axis((0.0, 0.0, 1.0))
@@ -156,6 +157,27 @@ class TestNonselective:
         assert out.trace_part == pytest.approx(0.5, abs=1e-15)
         fixed = nonselective_step(DensityOp.from_bloch((0.0, 0.0, 0.0)), step)
         assert fixed.bloch_vector == pytest.approx((0.0, 0.0, 0.0), abs=1e-15)
+
+
+    @given(lam_values, axes, axes, ball)
+    @example(0.5, (1.0, 0.5, 0.25), (-0.25, -1.0, -0.5), (-0.0, -0.0, -0.0))
+    @settings(max_examples=300, deadline=None)
+    def test_bloch_map_matches_summed_form(self, lam, axis1, axis2, v):
+        # The map written with sum() over zipped components, its original
+        # form; the unrolled one must give the same doubles, signed zeros too.
+        step = SequentialChannelStep(
+            SharpObservable.from_axis(axis1), SharpObservable.from_axis(axis2), lam
+        )
+        a1, a2 = step.b1.bloch, step.b2.bloch
+        root = math.sqrt(1.0 - lam * lam)
+        shrink = lam * lam / (1.0 + root)
+        v_a1 = sum(a * c for a, c in zip(a1, v))
+        v_a2 = sum(a * c for a, c in zip(a2, v))
+        want = tuple(
+            0.5 * (v_a1 * u1 + root * c + v_a2 * shrink * u2)
+            for u1, u2, c in zip(a1, a2, v)
+        )
+        assert list(map(repr, _channel_bloch(v, step))) == list(map(repr, want))
 
 
 class TestTransportObservable:

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, manifests, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -61,6 +62,42 @@ class TestRegionCommand:
             d1, d2 = float(r[0]), float(r[1])
             assert r[2] == ("true" if d1 * d1 + d2 * d2 <= 1.0 else "false")
             assert r[3] == ("true" if d1 + d2 <= 1.0 else "false")
+
+    @pytest.mark.parametrize("res", [2, 3, 101])
+    def test_matches_generic_csv_rendering(self, tmp_path, res):
+        # region formats its cells inline; _write_csv/_fmt is the reference
+        assert main(["region", "--resolution", str(res), "--out", str(tmp_path)]) == EXIT_OK
+        rows = [
+            (i / (res - 1), j / (res - 1)) for i in range(res) for j in range(res)
+        ]
+        seqrac.cli._write_csv(
+            tmp_path / "reference.csv",
+            ["delta1", "delta2", "inside_quantum_disc", "inside_classical_simplex"],
+            [(d1, d2, d1 * d1 + d2 * d2 <= 1.0, d1 + d2 <= 1.0) for d1, d2 in rows],
+        )
+        assert (tmp_path / "region.csv").read_bytes() == (
+            tmp_path / "reference.csv"
+        ).read_bytes()
+
+
+class TestPinnedBytes:
+    """sha256 of fixed scalar outputs; a formatting change must fail here."""
+
+    @pytest.mark.parametrize(
+        "argv, name, digest",
+        [
+            (["region", "--resolution", "11"], "region.csv",
+             "3f26464116e41c7dbbe80dd04636985ce67a67fb6dc57f7a4bfcfc4ca17e2f02"),
+            (["thresholds", "--grid", "7"], "thresholds.csv",
+             "9543f53f4369e9a4ece1a33406cb97140fbd116395d2ebd3d0099d1cf3a40760"),
+            (["sequence", "--omega", "0.3", "--r", "0.9", "--lambdas", "0.3,0.5,0.8,1.0"],
+             "sequence.csv",
+             "7e31ada5a9df5c9c1b7e25d2b17d279f7388a2f564d8ca68ad92565a692261dd"),
+        ],
+    )
+    def test_csv_digest(self, tmp_path, argv, name, digest):
+        assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
 class TestScheduleCommand:
@@ -314,6 +351,22 @@ class TestExitCodes:
         argv = ["schedule", "--n", "3", "--r", "-1", "--omega", "auto", "--out", str(tmp_path)]
         assert main(argv) == EXIT_USAGE
         assert "error: r -1.0 outside (0, 1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("omega", ["0.1", "auto"])
+    def test_non_finite_epsilon_is_usage(self, tmp_path, capsys, omega):
+        argv = ["schedule", "--n", "3", "--omega", omega, "--epsilon", "inf",
+                "--out", str(tmp_path)]
+        assert main(argv) == EXIT_USAGE
+        assert "error: epsilon +inf is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "schedule.json").exists()
+
+    def test_uncreatable_out_is_usage(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        argv = ["sequence", "--omega", "0.3", "--lambdas", "0.5",
+                "--out", str(blocker / "x")]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 # Runs in a fresh interpreter, so that no other test has loaded numpy yet.

@@ -174,3 +174,32 @@ class TestDiscBound:
 
     def test_sampler_is_seed_deterministic(self):
         assert theorem1_sampler(5000, seed=9) == theorem1_sampler(5000, seed=9)
+
+
+class TestSamplerDistribution:
+    """Moments and octant shares of the sampled Bloch vectors, within 5 SE."""
+
+    COUNT = 20000  # families, so 80 000 vectors
+
+    @staticmethod
+    def within_5se(samples, expected):
+        se = samples.std(ddof=1) / math.sqrt(samples.size)
+        return abs(samples.mean() - expected) <= 5.0 * se
+
+    def test_pure_vectors_are_unit(self):
+        v = sample_bloch_vectors(self.COUNT, seed=31, pure=True)
+        assert v.shape == (self.COUNT, 4, 3)
+        assert np.max(np.abs(np.linalg.norm(v, axis=2) - 1.0)) <= 1e-12
+
+    def test_ball_moments(self):
+        v = sample_bloch_vectors(self.COUNT, seed=32).reshape(-1, 3)
+        assert np.max(np.linalg.norm(v, axis=1)) <= 1.0 + 1e-12
+        assert self.within_5se((v * v).sum(axis=1), 3.0 / 5.0)
+        assert self.within_5se(v[:, 2], 0.0)
+
+    @pytest.mark.parametrize("pure", [False, True])
+    def test_octants_hold_an_eighth_each(self, pure):
+        v = sample_bloch_vectors(self.COUNT, seed=33, pure=pure).reshape(-1, 3)
+        octant = (v > 0).astype(int) @ np.array([4, 2, 1])
+        for o in range(8):
+            assert self.within_5se((octant == o).astype(float), 1.0 / 8.0), o

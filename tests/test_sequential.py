@@ -1,19 +1,24 @@
 """Sequential propagation: exact trace norms vs the closed-form recursion."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from seqrac import (
     AlignmentError,
     AxisError,
     DistinguishabilityPair,
     DomainError,
+    PreparationFamily,
     SequentialChannelStep,
     SharpObservable,
     delta_pair,
     lemma2_violation_probe,
+    nonselective_step,
     per_bob_success,
     propagate,
     square_preparations,
@@ -96,6 +101,74 @@ class TestPropagate:
         e2 = trace.entries[1]
         assert e2.exact.delta1 == pytest.approx(dp.delta1, abs=1e-14)
         assert e2.exact.delta2 == pytest.approx(dp.delta2 / 2.0, abs=1e-14)
+
+
+def reference_propagate(prep, steps):
+    """The object path: a PreparationFamily stepped state by state through
+    ``nonselective_step`` and measured by ``delta_pair`` at every receiver.
+    Returns the (exact, recursion, success) entries and every family seen."""
+    dp0 = delta_pair(prep)
+    shrink1 = 1.0
+    families = [prep]
+    entries = []
+    for k in range(len(steps) + 1):
+        exact = delta_pair(families[-1])
+        recursion = DistinguishabilityPair(dp0.delta1 * shrink1, dp0.delta2 / 2.0**k)
+        success = per_bob_success(exact, steps[k].lam) if k < len(steps) else None
+        entries.append((exact, recursion, success))
+        if k < len(steps):
+            lam = steps[k].lam
+            shrink1 *= 0.5 * (1.0 + math.sqrt(1.0 - lam * lam))
+            states = families[-1].states
+            families.append(
+                PreparationFamily(tuple(nonselective_step(rho, steps[k]) for rho in states))
+            )
+    return entries, families
+
+
+def unit(theta, phi):
+    sin = math.sin(theta)
+    return (sin * math.cos(phi), sin * math.sin(phi), math.cos(theta))
+
+
+angles = st.tuples(
+    st.floats(min_value=0.0, max_value=math.pi),
+    st.floats(min_value=0.0, max_value=2 * math.pi),
+)
+# Components below 0.58 keep |n| < 1; the families need not be aligned.
+general_family = st.lists(
+    st.tuples(*[st.floats(min_value=-0.57, max_value=0.57)] * 3), min_size=4, max_size=4
+).map(PreparationFamily.from_bloch_vectors)
+square_family = st.builds(
+    square_preparations,
+    st.floats(min_value=1e-3, max_value=math.pi / 2 - 1e-3),
+    st.floats(min_value=0.05, max_value=1.0),
+)
+
+
+class TestReferenceOracle:
+    @given(
+        st.one_of(square_family, general_family),
+        st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=40),
+        st.one_of(st.none(), angles),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_object_path_exactly(self, prep, lams, tilt):
+        b2 = Z if tilt is None else SharpObservable.from_axis(unit(*tilt))
+        steps = [SequentialChannelStep(X, b2, lam) for lam in lams]
+        want, families = reference_propagate(prep, steps)
+        # The documented exception: DensityOp stores n/2, which rounds a
+        # component below twice the smallest normal double.
+        assume(all(
+            c == 0.0 or abs(c) >= 2 * sys.float_info.min
+            for family in families for rho in family.states for c in rho.bloch_vector
+        ))
+        trace = propagate(prep, steps, check_alignment=False)
+        assert len(trace) == len(want)
+        for entry, (exact, recursion, success) in zip(trace.entries, want):
+            assert entry.exact == exact
+            assert entry.recursion == recursion
+            assert entry.success_probability == success
 
 
 class TestGuards:
