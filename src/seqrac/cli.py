@@ -1,9 +1,11 @@
 """Command-line interface: emits thresholds, region scans, schedules,
 sequential traces, Monte Carlo runs, and polynomial tables as CSV/JSON.
 
-Every run writes a manifest recording the command, parameters, tool version,
-RNG algorithm, and a sha256 digest of each data file; re-running with the
-same parameters reproduces the data files byte for byte.
+Each ``cmd_*`` handler only computes: it returns its exit code, manifest
+parameters and data files as text, and ``main`` alone writes them. Every run
+that writes files also writes a manifest recording the command, parameters,
+tool version, RNG algorithm, and the sha256 of the bytes of each data file;
+re-running with the same parameters reproduces the data files byte for byte.
 
 Exit codes: 0 success, 2 infeasible schedule, 64 usage error.
 """
@@ -42,6 +44,9 @@ EXIT_USAGE = 64
 
 DEC_DIGITS = 30  # decimal-string precision for thin-margin quantities
 
+# What a command handler returns: exit code, manifest params, {file name: text}.
+Output = tuple[int, dict, dict[str, str]]
+
 B1 = SharpObservable.from_axis((1.0, 0.0, 0.0))
 B2 = SharpObservable.from_axis((0.0, 0.0, 1.0))
 
@@ -60,34 +65,18 @@ def _dec(value) -> str:
     return mp.nstr(value, DEC_DIGITS)
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _csv(header: list[str], rows) -> str:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+def _json(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _write_manifest(out: Path, command: str, params: dict, files: list[Path]) -> None:
-    digests = {}
-    for f in files:
-        digests[f.name] = hashlib.sha256(f.read_bytes()).hexdigest()
-    payload = {
-        "schema": "seqrac/manifest/1",
-        "command": command,
-        "params": params,
-        "version": __version__,
-        "rng_algorithm": RNG_ALGORITHM,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-        "outputs": digests,
-    }
-    _write_json(out / f"{command}_manifest.json", payload)
-
-
-def cmd_thresholds(args, out: Path) -> int:
+def cmd_thresholds(args) -> Output:
     rows = []
     grid = args.grid
     if grid < 2:
@@ -110,20 +99,18 @@ def cmd_thresholds(args, out: Path) -> int:
                 rep.classical_simplex_violated,
             )
         )
-    _write_csv(
-        out / "thresholds.csv",
+    text = _csv(
         ["delta1", "delta2", "lambda_sym_critical", "lambda_asym_critical", "simplex_violated"],
         rows,
     )
-    _write_manifest(out, "thresholds", {"grid": grid, "delta2": args.delta2}, [out / "thresholds.csv"])
-    return EXIT_OK
+    return EXIT_OK, {"grid": grid, "delta2": args.delta2}, {"thresholds.csv": text}
 
 
-def cmd_region(args, out: Path) -> int:
+def cmd_region(args) -> Output:
     res = args.resolution
     if res < 2:
         raise DomainError("resolution must be >= 2")
-    # The same text _write_csv makes of the rows (d1, d2, disc, simplex),
+    # The same text _csv makes of the rows (d1, d2, disc, simplex),
     # with each coordinate's repr taken once instead of once per cell.
     coords = [(i / (res - 1), repr(i / (res - 1))) for i in range(res)]
     flag = ("false", "true")
@@ -134,9 +121,7 @@ def cmd_region(args, out: Path) -> int:
             f"{text1},{text2},{flag[sq1 + d2 * d2 <= 1.0]},{flag[d1 + d2 <= 1.0]}"
             for d2, text2 in coords
         )
-    (out / "region.csv").write_text("\n".join(lines) + "\n")
-    _write_manifest(out, "region", {"resolution": res}, [out / "region.csv"])
-    return EXIT_OK
+    return EXIT_OK, {"resolution": res}, {"region.csv": "\n".join(lines) + "\n"}
 
 
 def _schedule_payload(s) -> dict:
@@ -167,13 +152,13 @@ def _schedule_payload(s) -> dict:
     }
 
 
-def cmd_schedule(args, out: Path) -> int:
+def cmd_schedule(args) -> Output:
     if args.omega == "auto":
         try:
             omega = find_omega(args.n, args.r, args.epsilon)
         except SearchExhausted as exc:
             print(f"infeasible: {exc}", file=sys.stderr)
-            return EXIT_INFEASIBLE
+            return EXIT_INFEASIBLE, {}, {}
     else:
         try:
             omega = mp.mpf(args.omega)
@@ -181,34 +166,20 @@ def cmd_schedule(args, out: Path) -> int:
             raise DomainError(f"bad omega {args.omega!r}") from exc
     s = lambda_sequence(omega, args.r, args.epsilon, args.n)
     payload = _schedule_payload(s)
-    _write_json(out / "schedule.json", payload)
-    rows = [
-        (
-            rec["k"],
-            rec["lambda"],
-            rec["m_product"],
-            rec["delta1"],
-            rec["delta2"],
-            rec["success"],
-            rec["success_margin_dec"],
-        )
-        for rec in payload["receivers"]
-    ]
-    _write_csv(
-        out / "schedule.csv",
-        ["k", "lambda", "m_product", "delta1", "delta2", "success", "success_margin"],
-        rows,
-    )
-    _write_manifest(
-        out,
-        "schedule",
-        {"n": args.n, "r": args.r, "epsilon": args.epsilon, "omega": str(args.omega)},
-        [out / "schedule.json", out / "schedule.csv"],
-    )
+    keys = ("k", "lambda", "m_product", "delta1", "delta2", "success", "success_margin_dec")
+    rows = [[rec[key] for key in keys] for rec in payload["receivers"]]
+    files = {
+        "schedule.json": _json(payload),
+        "schedule.csv": _csv(
+            ["k", "lambda", "m_product", "delta1", "delta2", "success", "success_margin"],
+            rows,
+        ),
+    }
+    params = {"n": args.n, "r": args.r, "epsilon": args.epsilon, "omega": str(args.omega)}
     if not payload["feasible"]:
         print(f"infeasible at receiver {payload['first_failure']}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    return EXIT_OK
+        return EXIT_INFEASIBLE, params, files
+    return EXIT_OK, params, files
 
 
 def _parse_lambdas(text: str) -> list[float]:
@@ -218,10 +189,12 @@ def _parse_lambdas(text: str) -> list[float]:
         raise DomainError(f"bad lambda list {text!r}") from exc
     if not lams:
         raise DomainError("empty lambda list")
+    if not all(map(math.isfinite, lams)):
+        raise DomainError(f"non-finite lambda in {text!r}")
     return lams
 
 
-def cmd_sequence(args, out: Path) -> int:
+def cmd_sequence(args) -> Output:
     lams = _parse_lambdas(args.lambdas)
     prep = square_preparations(args.omega, args.r)
     steps = [SequentialChannelStep(B1, B2, lam) for lam in lams]
@@ -239,24 +212,21 @@ def cmd_sequence(args, out: Path) -> int:
                 e.success_probability,
             )
         )
-    _write_csv(
-        out / "sequence.csv",
+    text = _csv(
         ["k", "lambda", "delta1_exact", "delta2_exact", "delta1_recursion", "delta2_recursion", "success"],
         rows,
     )
-    _write_manifest(
-        out,
-        "sequence",
-        {"omega": args.omega, "r": args.r, "lambdas": lams},
-        [out / "sequence.csv"],
-    )
-    return EXIT_OK
+    return EXIT_OK, {"omega": args.omega, "r": args.r, "lambdas": lams}, {"sequence.csv": text}
 
 
 def _parse_config(path: Path) -> dict:
     """key=value lines; '#' starts a comment."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
     values = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -267,7 +237,7 @@ def _parse_config(path: Path) -> dict:
     return values
 
 
-def cmd_simulate(args, out: Path) -> int:
+def cmd_simulate(args) -> Output:
     cfg_path = Path(args.config)
     raw = _parse_config(cfg_path)
     try:
@@ -284,7 +254,7 @@ def cmd_simulate(args, out: Path) -> int:
     for lam in lams:
         if not 0.0 < lam <= 1.0:
             print(f"rejected: lambda {lam} outside (0, 1]", file=sys.stderr)
-            return EXIT_INFEASIBLE
+            return EXIT_INFEASIBLE, {}, {}
 
     prep = square_preparations(omega, r)
     steps = tuple(SequentialChannelStep(B1, B2, lam) for lam in lams)
@@ -292,29 +262,18 @@ def cmd_simulate(args, out: Path) -> int:
     result = run_simulation(config, threads=args.threads)
     ana_succ, ana_states = analytic_reference(config)
 
-    receivers = []
-    rows = []
-    for k, st in enumerate(result.per_receiver):
-        receivers.append(
-            {
-                "k": k + 1,
-                "empirical_success": st.empirical_success,
-                "standard_error": st.standard_error,
-                "shots_counted": st.shots_counted,
-                "analytic_success": ana_succ[k],
-                "mean_post_bloch": list(result.mean_post_bloch[k]),
-                "analytic_post_bloch": list(ana_states[k]),
-            }
-        )
-        rows.append(
-            (
-                k + 1,
-                st.empirical_success,
-                ana_succ[k],
-                st.standard_error,
-                st.shots_counted,
-            )
-        )
+    receivers = [
+        {
+            "k": k + 1,
+            "empirical_success": st.empirical_success,
+            "standard_error": st.standard_error,
+            "shots_counted": st.shots_counted,
+            "analytic_success": ana_succ[k],
+            "mean_post_bloch": list(result.mean_post_bloch[k]),
+            "analytic_post_bloch": list(ana_states[k]),
+        }
+        for k, st in enumerate(result.per_receiver)
+    ]
     payload = {
         "schema": "seqrac/simulation/1",
         "seed": seed,
@@ -325,22 +284,13 @@ def cmd_simulate(args, out: Path) -> int:
         "rng_algorithm": result.rng_algorithm,
         "receivers": receivers,
     }
-    _write_json(out / "simulate.json", payload)
-    _write_csv(
-        out / "simulate.csv",
-        ["k", "empirical_success", "analytic_success", "standard_error", "shots_counted"],
-        rows,
-    )
-    _write_manifest(
-        out,
-        "simulate",
-        {"config": str(cfg_path), **raw},
-        [out / "simulate.json", out / "simulate.csv"],
-    )
-    return EXIT_OK
+    header = ["k", "empirical_success", "analytic_success", "standard_error", "shots_counted"]
+    rows = [[rec[key] for key in header] for rec in receivers]
+    files = {"simulate.json": _json(payload), "simulate.csv": _csv(header, rows)}
+    return EXIT_OK, {"config": str(cfg_path), **raw}, files
 
 
-def cmd_poly(args, out: Path | None) -> int:
+def cmd_poly(args) -> Output:
     k = args.k
     p = small_angle_poly(k)
     expansion = odd_power_expansion(k)
@@ -353,13 +303,10 @@ def cmd_poly(args, out: Path | None) -> int:
     )
     text = "\n".join(lines) + "\n"
     print(text, end="")
-    if out is not None:
-        (out / "poly.txt").write_text(text)
-        _write_manifest(out, "poly", {"k": k}, [out / "poly.txt"])
-    return EXIT_OK
+    return EXIT_OK, {"k": k}, {"poly.txt": text}
 
 
-def cmd_verify(args, out: Path | None) -> int:
+def cmd_verify(args) -> Output:
     """Quick invariant suite; one pass/fail line per check."""
     from fractions import Fraction
 
@@ -408,7 +355,7 @@ def cmd_verify(args, out: Path | None) -> int:
     for name, passed in checks:
         print(f"{'PASS' if passed else 'FAIL'}  {name}")
         failures += 0 if passed else 1
-    return EXIT_OK if failures == 0 else 1
+    return (EXIT_OK if failures == 0 else 1), {}, {}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -479,12 +426,31 @@ def main(argv=None) -> int:
         if exc.code not in (0, None):
             return EXIT_USAGE
         return 0
-    out = None
+    out = getattr(args, "out", None)
     try:
-        if getattr(args, "out", None) is not None:
-            out = Path(args.out)
+        if out is not None:
+            # before the handler, so a bad --out fails before a long run
+            out = Path(out)
             out.mkdir(parents=True, exist_ok=True)
-        return _HANDLERS[args.command](args, out)
+        code, params, files = _HANDLERS[args.command](args)
+        if out is not None and files:
+            # the only file writes: each digest is of the bytes written
+            digests = {}
+            for name, text in files.items():
+                data = text.encode()
+                (out / name).write_bytes(data)
+                digests[name] = hashlib.sha256(data).hexdigest()
+            manifest = {
+                "schema": "seqrac/manifest/1",
+                "command": args.command,
+                "params": params,
+                "version": __version__,
+                "rng_algorithm": RNG_ALGORITHM,
+                "timestamp": datetime.now(timezone.utc).isoformat(),
+                "outputs": digests,
+            }
+            (out / f"{args.command}_manifest.json").write_text(_json(manifest))
+        return code
     except (SeqracError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

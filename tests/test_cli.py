@@ -45,12 +45,43 @@ class TestThresholdsCommand:
         _, rows = read_csv(tmp_path / "thresholds.csv")
         assert all(float(r[1]) == 0.6 for r in rows)
 
-    def test_manifest_digests_outputs(self, tmp_path):
-        main(["thresholds", "--grid", "5", "--out", str(tmp_path)])
-        manifest = json.loads((tmp_path / "thresholds_manifest.json").read_text())
+
+class TestManifest:
+    @pytest.mark.parametrize(
+        "argv, code, names",
+        [
+            (["thresholds", "--grid", "5"], EXIT_OK, {"thresholds.csv"}),
+            (["region", "--resolution", "4"], EXIT_OK, {"region.csv"}),
+            (["schedule", "--n", "4", "--omega", "0.03125"], EXIT_OK,
+             {"schedule.json", "schedule.csv"}),
+            (["schedule", "--n", "4", "--omega", "0.0315"], EXIT_INFEASIBLE,
+             {"schedule.json", "schedule.csv"}),
+            (["sequence", "--omega", "0.3", "--lambdas", "0.5,0.8"], EXIT_OK, {"sequence.csv"}),
+            (["simulate", "--config", "sim.cfg"], EXIT_OK, {"simulate.json", "simulate.csv"}),
+            (["poly", "--k", "3"], EXIT_OK, {"poly.txt"}),
+        ],
+        ids=["thresholds", "region", "schedule", "schedule-infeasible", "sequence", "simulate", "poly"],
+    )
+    def test_manifest_digests_outputs(self, tmp_path, monkeypatch, argv, code, names):
+        monkeypatch.chdir(tmp_path)
+        Path("sim.cfg").write_text("omega = 0.3\nlambdas = 0.5,0.8\nshots = 4000\nseed = 5\n")
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == code
+        manifest = json.loads((out / f"{argv[0]}_manifest.json").read_text())
         assert manifest["schema"] == "seqrac/manifest/1"
-        assert "thresholds.csv" in manifest["outputs"]
-        assert len(manifest["outputs"]["thresholds.csv"]) == 64
+        assert manifest["command"] == argv[0]
+        files = {f.name: f.read_bytes() for f in out.iterdir()}
+        del files[f"{argv[0]}_manifest.json"]
+        assert set(files) == names
+        assert manifest["outputs"] == {
+            name: hashlib.sha256(data).hexdigest() for name, data in files.items()
+        }
+
+    def test_no_files_without_out(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["poly", "--k", "3"]) == EXIT_OK
+        assert main(["verify"]) == EXIT_OK
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestRegionCommand:
@@ -65,19 +96,16 @@ class TestRegionCommand:
 
     @pytest.mark.parametrize("res", [2, 3, 101])
     def test_matches_generic_csv_rendering(self, tmp_path, res):
-        # region formats its cells inline; _write_csv/_fmt is the reference
+        # region formats its cells inline; _csv/_fmt is the reference
         assert main(["region", "--resolution", str(res), "--out", str(tmp_path)]) == EXIT_OK
         rows = [
             (i / (res - 1), j / (res - 1)) for i in range(res) for j in range(res)
         ]
-        seqrac.cli._write_csv(
-            tmp_path / "reference.csv",
+        reference = seqrac.cli._csv(
             ["delta1", "delta2", "inside_quantum_disc", "inside_classical_simplex"],
             [(d1, d2, d1 * d1 + d2 * d2 <= 1.0, d1 + d2 <= 1.0) for d1, d2 in rows],
         )
-        assert (tmp_path / "region.csv").read_bytes() == (
-            tmp_path / "reference.csv"
-        ).read_bytes()
+        assert (tmp_path / "region.csv").read_bytes() == reference.encode()
 
 
 class TestPinnedBytes:
@@ -239,7 +267,8 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("omega", "abc"), ("r", "x"), ("shots", "1e6"), ("seed", "s1"), ("seed", "-1")],
+        [("omega", "abc"), ("r", "x"), ("shots", "1e6"), ("seed", "s1"), ("seed", "-1"),
+         ("lambdas", "nan"), ("lambdas", "inf")],
     )
     def test_malformed_value_is_usage_error(self, tmp_path, key, value):
         cfg = self.write_config(tmp_path, **{key: value})
@@ -247,6 +276,15 @@ class TestSimulateCommand:
             main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
             == EXIT_USAGE
         )
+
+    def test_non_utf8_config_is_usage_error(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path)
+        cfg.write_bytes(cfg.read_bytes() + b"\xff\xfe")
+        assert (
+            main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
+            == EXIT_USAGE
+        )
+        assert f"error: {cfg}: not UTF-8" in capsys.readouterr().err
 
     def test_malformed_thread_env_is_usage_error(self, tmp_path, monkeypatch):
         cfg = self.write_config(tmp_path, shots="1000")
