@@ -15,13 +15,11 @@ from .channel import (
     kraus_pair,
     nonselective_step,
     selective_outcome,
-    transport_observable,
 )
 from .errors import (
     AlignmentError,
     AxisError,
     DegeneratePair,
-    DegenerateThreshold,
     DomainError,
     InvalidState,
     SearchExhausted,

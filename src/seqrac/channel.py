@@ -44,12 +44,6 @@ class UnsharpBinaryMeasurement:
     def __post_init__(self):
         object.__setattr__(self, "lam", _check_lambda(self.lam))
 
-    def effect(self, sign: int) -> HermitianOp:
-        """POVM element ``(I + sign*lam*B)/2`` for sign in {+1, -1}."""
-        return HermitianOp(
-            0.5, tuple(sign * self.lam * 0.5 * c for c in self.observable.bloch)
-        )
-
     def outcome_probability(self, rho: DensityOp, sign: int) -> float:
         n_dot_b = 2.0 * rho.dot_bloch(self.observable)
         return 0.5 * (1.0 + sign * self.lam * n_dot_b)
@@ -61,8 +55,6 @@ class KrausPair:
 
     k_plus: HermitianOp
     k_minus: HermitianOp
-    alpha: float
-    beta: float
 
 
 @dataclass(frozen=True)
@@ -107,7 +99,7 @@ def kraus_pair(b: SharpObservable, lam: float) -> KrausPair:
     beta = 0.5 * (sp - sm)
     k_plus = HermitianOp(alpha, tuple(beta * c for c in b.bloch))
     k_minus = HermitianOp(alpha, tuple(-beta * c for c in b.bloch))
-    return KrausPair(k_plus, k_minus, alpha, beta)
+    return KrausPair(k_plus, k_minus)
 
 
 def selective_outcome(
@@ -169,12 +161,3 @@ def nonselective_step(rho: DensityOp, step: SequentialChannelStep) -> DensityOp:
     """
     return DensityOp.from_bloch(_channel_bloch(rho.bloch_vector, step))
 
-
-def transport_observable(b: SharpObservable, step: SequentialChannelStep) -> HermitianOp:
-    """Image of an observable under the (self-dual) non-selective channel.
-
-    Includes the anticommutator cross terms, which vanish exactly when the
-    step axes are orthogonal; in that case ``b1`` is rescaled by
-    ``(1 + sqrt(1-lam^2))/2`` and ``b2`` by ``1/2``.
-    """
-    return HermitianOp(b.trace_part, _channel_bloch(b.bloch, step))

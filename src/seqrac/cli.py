@@ -7,7 +7,7 @@ that writes files also writes a manifest recording the command, parameters,
 tool version, RNG algorithm, and the sha256 of the bytes of each data file;
 re-running with the same parameters reproduces the data files byte for byte.
 
-Exit codes: 0 success, 2 infeasible schedule, 64 usage error.
+Exit codes: 0 success, 1 a failed verify check, 2 infeasible schedule, 64 usage error.
 """
 
 from __future__ import annotations
@@ -54,9 +54,7 @@ B2 = SharpObservable.from_axis((0.0, 0.0, 1.0))
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)  # shortest round-trip
-    return str(value)
+    return str(value)  # for a float, the shortest round-trip repr
 
 
 def _dec(value) -> str:
@@ -110,18 +108,19 @@ def cmd_region(args) -> Output:
     res = args.resolution
     if res < 2:
         raise DomainError("resolution must be >= 2")
-    # The same text _csv makes of the rows (d1, d2, disc, simplex),
-    # with each coordinate's repr taken once instead of once per cell.
+    # The same text _csv makes of the rows (d1, d2, disc, simplex), with
+    # each coordinate's repr taken once instead of once per cell, joined per
+    # d1 block so that the R^2 rows are never all held as separate strings.
     coords = [(i / (res - 1), repr(i / (res - 1))) for i in range(res)]
     flag = ("false", "true")
-    lines = ["delta1,delta2,inside_quantum_disc,inside_classical_simplex"]
+    blocks = ["delta1,delta2,inside_quantum_disc,inside_classical_simplex\n"]
     for d1, text1 in coords:
         sq1 = d1 * d1
-        lines.extend(
-            f"{text1},{text2},{flag[sq1 + d2 * d2 <= 1.0]},{flag[d1 + d2 <= 1.0]}"
+        blocks.append("".join([
+            f"{text1},{text2},{flag[sq1 + d2 * d2 <= 1.0]},{flag[d1 + d2 <= 1.0]}\n"
             for d2, text2 in coords
-        )
-    return EXIT_OK, {"resolution": res}, {"region.csv": "\n".join(lines) + "\n"}
+        ]))
+    return EXIT_OK, {"resolution": res}, {"region.csv": "".join(blocks)}
 
 
 def _schedule_payload(s) -> dict:
@@ -367,15 +366,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("thresholds", help="critical unsharpness along the unit arc")
+    p.set_defaults(handler=cmd_thresholds)
     p.add_argument("--grid", type=int, default=100)
     p.add_argument("--delta2", type=float, default=None)
     p.add_argument("--out", default=".")
 
     p = sub.add_parser("region", help="quantum disc vs classical simplex scan")
+    p.set_defaults(handler=cmd_region)
     p.add_argument("--resolution", type=int, default=101)
     p.add_argument("--out", default=".")
 
     p = sub.add_parser("schedule", help="synthesize an unsharpness schedule")
+    p.set_defaults(handler=cmd_schedule)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=float, default=1.0)
     p.add_argument("--epsilon", type=float, default=1e-4)
@@ -383,33 +385,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=".")
 
     p = sub.add_parser("sequence", help="per-receiver trace for fixed lambdas")
+    p.set_defaults(handler=cmd_sequence)
     p.add_argument("--omega", type=float, required=True)
     p.add_argument("--r", type=float, default=1.0)
     p.add_argument("--lambdas", required=True, help="comma-separated")
     p.add_argument("--out", default=".")
 
     p = sub.add_parser("simulate", help="Monte Carlo run from a config file")
+    p.set_defaults(handler=cmd_simulate)
     p.add_argument("--config", required=True)
     p.add_argument("--threads", type=int, default=None)
     p.add_argument("--out", default=".")
 
     p = sub.add_parser("poly", help="exact small-angle polynomial table")
+    p.set_defaults(handler=cmd_poly)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("verify", help="run the quick invariant suite")
+    p.set_defaults(handler=cmd_verify)
     return parser
-
-
-_HANDLERS = {
-    "thresholds": cmd_thresholds,
-    "region": cmd_region,
-    "schedule": cmd_schedule,
-    "sequence": cmd_sequence,
-    "simulate": cmd_simulate,
-    "poly": cmd_poly,
-    "verify": cmd_verify,
-}
 
 
 @functools.cache
@@ -432,7 +427,7 @@ def main(argv=None) -> int:
             # before the handler, so a bad --out fails before a long run
             out = Path(out)
             out.mkdir(parents=True, exist_ok=True)
-        code, params, files = _HANDLERS[args.command](args)
+        code, params, files = args.handler(args)
         if out is not None and files:
             # the only file writes: each digest is of the bytes written
             digests = {}

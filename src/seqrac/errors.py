@@ -17,10 +17,6 @@ class DegeneratePair(SeqracError):
     """Two states are operationally equivalent; no discrimination axis exists."""
 
 
-class DegenerateThreshold(SeqracError):
-    """A critical-unsharpness denominator is effectively zero."""
-
-
 class ZeroProbabilityBranch(SeqracError):
     """A selective measurement branch has probability below resolution."""
 

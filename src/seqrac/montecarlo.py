@@ -25,7 +25,7 @@ from .bloch import DensityOp
 from .channel import SequentialChannelStep, nonselective_step
 from .errors import AxisError, DomainError
 from .rac import PreparationFamily
-from .sequential import _check_axes, per_bob_success, propagate
+from .sequential import _check_axes, propagate
 
 RNG_ALGORITHM = "philox4x64/shard65536/word-per-receiver"
 SHARD_SIZE = 1 << 16
@@ -64,7 +64,6 @@ class SimulationResult:
 
     per_receiver: tuple[ReceiverStats, ...]
     mean_post_bloch: tuple[tuple[float, float, float], ...]
-    seed: int
     rng_algorithm: str = RNG_ALGORITHM
 
 
@@ -228,7 +227,7 @@ def run(config: SimulationConfig, threads: int | None = None) -> SimulationResul
         se = math.sqrt(p_hat * (1.0 - p_hat) / shots)
         stats.append(ReceiverStats(float(p_hat), se, shots))
     mean_post = tuple(tuple(float(c) for c in post_sums[k] / shots) for k in range(n_rec))
-    return SimulationResult(tuple(stats), mean_post, config.seed)
+    return SimulationResult(tuple(stats), mean_post)
 
 
 def analytic_reference(config: SimulationConfig):
@@ -243,10 +242,7 @@ def analytic_reference(config: SimulationConfig):
 
     steps = list(config.steps)
     trace = propagate(config.prep, steps)
-    successes = [
-        per_bob_success(trace.entries[k].exact, steps[k].lam)
-        for k in range(len(steps))
-    ]
+    successes = [e.success_probability for e in trace.entries[:-1]]
     avg = np.mean([s.bloch_vector for s in config.prep.states], axis=0)
     mean_states = []
     rho = DensityOp.from_bloch(tuple(avg))

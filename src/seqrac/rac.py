@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .bloch import DensityOp, distinguishability
 from .channel import UnsharpBinaryMeasurement
-from .errors import DegenerateThreshold, DomainError
+from .errors import DomainError
 
 THRESHOLD_DENOM_TOL = 1e-15
 QUANTUM_DISC_TOL = 1e-9
@@ -53,7 +53,6 @@ class ThresholdReport:
     region scans stay total.
     """
 
-    delta_pair: DistinguishabilityPair
     lambda_symmetric_critical: float
     lambda_asymmetric_critical: float
     classical_simplex_violated: bool
@@ -123,29 +122,19 @@ def avg_success(
     return total / 8.0
 
 
-def thresholds(dp: DistinguishabilityPair, strict: bool = False) -> ThresholdReport:
+def thresholds(dp: DistinguishabilityPair) -> ThresholdReport:
     """Symmetric and asymmetric critical unsharpness for a delta pair.
 
     symmetric: ``1/(Delta1+Delta2)``; asymmetric (lam1 = 1):
-    ``(1-Delta1)/Delta2``.  With ``strict=True`` a vanishing denominator
-    raises DegenerateThreshold instead of returning the +inf sentinel.
+    ``(1-Delta1)/Delta2``.  A vanishing denominator gives +inf.
     """
     d1, d2 = dp.delta1, dp.delta2
     for d in (d1, d2):
         if not 0.0 <= d <= 1.0:
             raise DomainError(f"distinguishability {d} outside [0, 1]")
-
-    def ratio(num: float, den: float) -> float:
-        if den < THRESHOLD_DENOM_TOL:
-            if strict:
-                raise DegenerateThreshold(f"denominator {den} below tolerance")
-            return math.inf
-        return num / den
-
     return ThresholdReport(
-        delta_pair=dp,
-        lambda_symmetric_critical=ratio(1.0, d1 + d2),
-        lambda_asymmetric_critical=ratio(1.0 - d1, d2),
+        lambda_symmetric_critical=1.0 / (d1 + d2) if d1 + d2 >= THRESHOLD_DENOM_TOL else math.inf,
+        lambda_asymmetric_critical=(1.0 - d1) / d2 if d2 >= THRESHOLD_DENOM_TOL else math.inf,
         classical_simplex_violated=d1 + d2 > 1.0,
     )
 

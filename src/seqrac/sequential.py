@@ -39,9 +39,6 @@ class TraceEntry:
 class SequentialTrace:
     entries: tuple[TraceEntry, ...]
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     def max_discrepancy(self) -> float:
         """Largest |exact - recursion| over all entries and both bits."""
         return max(

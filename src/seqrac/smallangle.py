@@ -43,16 +43,6 @@ class RationalPolynomial:
 
     coefficients: tuple[Fraction, ...]
 
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
-
     def __mul__(self, other: "RationalPolynomial") -> "RationalPolynomial":
         out = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients) - 1)
         for i, a in enumerate(self.coefficients):

@@ -15,6 +15,11 @@ def matrix(op) -> np.ndarray:
     return m
 
 
+def effect(b, lam: float, sign: int) -> np.ndarray:
+    """Explicit POVM element ``(I + sign*lam*B)/2`` of an unsharp measurement."""
+    return 0.5 * (np.eye(2) + sign * lam * matrix(b))
+
+
 def pytest_configure(config):
     config.acceptance_lines = []
 

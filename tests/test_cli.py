@@ -7,11 +7,16 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from io import StringIO
 from pathlib import Path
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import seqrac.cli
 from seqrac import SearchExhausted, find_omega, lambda_sequence
@@ -126,6 +131,33 @@ class TestPinnedBytes:
     def test_csv_digest(self, tmp_path, argv, name, digest):
         assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "omega, json_digest, csv_digest",
+        [
+            ("0.03125", "e27461cbd9f60b1dc9a260dc7029645c53a30dfe54848d6b5fc898b0817583f9",
+             "bfe4546587d00484a453667ee984b0d4fcdc86d1e980476f0e661343d414e8ea"),
+            ("auto", "67112561b8a393a357e4c2d8fda500fb40102d5de3a4667720ba2c267fcaeb0f",
+             "0c6801240845dca5cbc153226a556d9d343efe44189b83b02e50b33616053b32"),
+        ],
+    )
+    def test_schedule_digest(self, tmp_path, omega, json_digest, csv_digest):
+        n = "4" if omega != "auto" else "5"
+        assert main(["schedule", "--n", n, "--omega", omega, "--out", str(tmp_path)]) == EXIT_OK
+        for name, digest in (("schedule.json", json_digest), ("schedule.csv", csv_digest)):
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_simulate_csv_digest(self, tmp_path, threads):
+        # 70,000 shots are two shards; simulate.json is not pinned, because
+        # its mean_post_bloch sums depend on numpy's summation order
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("omega = 0.4\nr = 0.9\nlambdas = 0.3,0.6,0.9\nshots = 70000\nseed = 11\n")
+        argv = ["simulate", "--config", str(cfg), "--threads", threads, "--out", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        assert hashlib.sha256((tmp_path / "simulate.csv").read_bytes()).hexdigest() == (
+            "b0e80d2832d339c00a4ac7197c5ef49d03d5815d3996f3829dab47b09f8d1111"
+        )
 
 
 class TestScheduleCommand:
@@ -460,3 +492,90 @@ class TestDeterminism:
             main(["simulate", "--config", str(cfg), "--out", str(out)])
         assert (a / "simulate.json").read_bytes() == (b / "simulate.json").read_bytes()
         assert (a / "simulate.csv").read_bytes() == (b / "simulate.csv").read_bytes()
+
+
+# The CLI contract: every argv and every config ends in exit 0, 2 or 64,
+# never in a traceback (verify exits 1 only when an invariant is broken).
+# The vocabulary is bounded so that no example runs more than 4,096 shots
+# (one shard, so one worker thread), --n or --k > 8, --resolution > 40 or
+# --grid > 60.
+ODD_VALUES = ["nan", "inf", "-1", "0", "1e-400", "abc", ""]
+FLAG_VALUES = {
+    "--grid": ["2", "60"],
+    "--delta2": ["0.6"],
+    "--resolution": ["2", "40"],
+    "--n": ["1", "4", "8"],
+    "--r": ["0.5", "1"],
+    "--epsilon": ["1e-4"],
+    "--omega": ["auto", "0.3", "0.03125"],
+    "--lambdas": ["0.5,0.8", "1", "0.5,,2"],
+    "--config": ["sim.cfg"],
+    "--threads": ["1", "2"],
+    "--k": ["1", "8"],
+    "--out": ["out"],
+    "--version": [],
+    "--help": [],
+}
+COMMANDS = ["thresholds", "region", "schedule", "sequence", "simulate", "poly", "verify"]
+CONFIG_VALUES = {
+    "omega": ["0.3", "2"],
+    "r": ["0.5", "1.0"],
+    "lambdas": ["0.5,0.8", "1.0", ","],
+    "shots": ["1", "4096"],
+    "seed": ["7", "18446744073709551616"],
+    "junk": ["1"],
+}
+
+
+@st.composite
+def argvs(draw):
+    argv = [draw(st.sampled_from(COMMANDS + ODD_VALUES))]
+    for _ in range(draw(st.integers(0, 6))):
+        flag = draw(st.sampled_from(sorted(FLAG_VALUES)))
+        argv.append(flag)
+        if draw(st.integers(0, 5)):
+            argv.append(draw(st.sampled_from(FLAG_VALUES[flag] + ODD_VALUES)))
+    return argv
+
+
+@st.composite
+def config_lines(draw):
+    keys = draw(st.lists(st.sampled_from(sorted(CONFIG_VALUES)), max_size=7))
+    lines = [
+        f"{key} = {draw(st.sampled_from(CONFIG_VALUES[key] + ODD_VALUES))}" for key in keys
+    ]
+    lines += draw(st.lists(st.sampled_from(["# comment", "omega", "=", " "]), max_size=2))
+    return "\n".join(draw(st.permutations(lines))).encode()
+
+
+def run_in_scratch(argv, config: bytes) -> tuple[int, str]:
+    """``main(argv)`` in an empty working directory holding only ``sim.cfg``."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            Path("sim.cfg").write_bytes(config)
+            err = StringIO()
+            with redirect_stdout(StringIO()), redirect_stderr(err):
+                code = main(argv)
+        finally:
+            os.chdir(cwd)
+    return code, err.getvalue()
+
+
+VALID_CONFIG = b"omega = 0.3\nlambdas = 0.5,0.8\nshots = 4096\nseed = 7\n"
+
+
+class TestContract:
+    @given(argvs())
+    @settings(max_examples=250, deadline=None)
+    def test_any_argv_exits_cleanly(self, argv):
+        code, err = run_in_scratch(argv, VALID_CONFIG)
+        assert code in (EXIT_OK, EXIT_INFEASIBLE, EXIT_USAGE), (argv, err)
+
+    @given(st.one_of(config_lines(), st.binary(max_size=64)), st.sampled_from(["1", "2"]))
+    @settings(max_examples=150, deadline=None)
+    def test_any_config_exits_cleanly(self, config, threads):
+        argv = ["simulate", "--config", "sim.cfg", "--threads", threads, "--out", "out"]
+        code, err = run_in_scratch(argv, config)
+        assert code in (EXIT_OK, EXIT_INFEASIBLE, EXIT_USAGE), (config, err)

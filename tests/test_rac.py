@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqrac import (
-    DegenerateThreshold,
     DistinguishabilityPair,
     DomainError,
     PreparationFamily,
@@ -140,13 +139,14 @@ class TestThresholds:
             math.sqrt(2.0) - 1.0, abs=1e-12
         )
 
-    def test_degenerate_denominator_sentinel_and_strict(self):
-        dp = DistinguishabilityPair(0.0, 0.0)
-        rep = thresholds(dp)
+    def test_degenerate_denominator_sentinel(self):
+        rep = thresholds(DistinguishabilityPair(0.0, 0.0))
         assert math.isinf(rep.lambda_symmetric_critical)
+        assert math.isinf(rep.lambda_asymmetric_critical)
         assert not rep.classical_simplex_violated
-        with pytest.raises(DegenerateThreshold):
-            thresholds(dp, strict=True)
+        rep = thresholds(DistinguishabilityPair(0.5, 1e-16))
+        assert rep.lambda_symmetric_critical == 1.0 / (0.5 + 1e-16)
+        assert math.isinf(rep.lambda_asymmetric_critical)
 
 
 class TestDiscBound:

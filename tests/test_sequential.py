@@ -48,7 +48,7 @@ class TestPropagate:
     def test_trace_shape_and_final_entry(self):
         prep = square_preparations(0.3)
         trace = propagate(prep, steps_for([0.5, 0.8]))
-        assert len(trace) == 3
+        assert len(trace.entries) == 3
         assert trace.entries[-1].success_probability is None
         assert trace.entries[0].success_probability is not None
 
@@ -164,7 +164,7 @@ class TestReferenceOracle:
             for family in families for rho in family.states for c in rho.bloch_vector
         ))
         trace = propagate(prep, steps, check_alignment=False)
-        assert len(trace) == len(want)
+        assert len(trace.entries) == len(want)
         for entry, (exact, recursion, success) in zip(trace.entries, want):
             assert entry.exact == exact
             assert entry.recursion == recursion

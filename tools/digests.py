@@ -1,0 +1,77 @@
+"""Print sha256 digests of what one checkout's CLI produces for a fixed set of runs.
+
+Usage, from anywhere:
+
+    python tools/digests.py CHECKOUT WORKDIR > listing.txt
+
+CHECKOUT is the root of a seqrac source tree; its ``src`` and ``bench`` are
+put first on ``sys.path``.  WORKDIR is emptied and reused for every run.
+Each run prints one line with its exit code and the digests of its stdout
+and stderr, then one line per file it wrote: the sha256 of every data file,
+and of every manifest with its ``timestamp`` removed.  Two checkouts whose
+listings are equal wrote the same bytes.  Give both the same WORKDIR: the
+config path appears in manifests and error messages.  The runs are every op of
+``schedule_auto`` seeds 1 and 2 and of ``scalar_mix`` seed 1 (from
+``bench/workloads.py``), ``poly --k 1..10 --out``, an infeasible
+``schedule``, and four ``simulate`` configs at 1 and 2 threads.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import shutil
+import sys
+from pathlib import Path
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def main() -> None:
+    root, work = Path(sys.argv[1]).resolve(), Path(sys.argv[2]).resolve()
+    sys.path[:0] = [str(root / "src"), str(root / "bench")]
+    from seqrac.cli import main as seqrac_main
+    from workloads import CONFIG, OUT, generate
+
+    out, cfg = work / "out", work / "sim.cfg"
+    runs = [
+        (op.argv, op.config)
+        for name, seed in (("schedule_auto", 1), ("schedule_auto", 2), ("scalar_mix", 1))
+        for op in generate(name, seed)
+    ]
+    runs += [(("poly", "--k", str(k), "--out", OUT), None) for k in range(1, 11)]
+    runs += [(("schedule", "--n", "4", "--omega", "0.0315", "--out", OUT), None)]  # exits 2
+    configs = [
+        "omega = 0.3\nlambdas = 0.5,0.8\nshots = 300017\nseed = 7\n",
+        "omega = 0.1\nr = 0.8\nlambdas = 0.2,0.4,0.6,0.9\nshots = 200000\nseed = 2026\n",
+        "omega = 0.5\nlambdas = 1.0\nshots = 131073\nseed = 0\n",
+        "omega = 0.4\nr = 0.9\nlambdas = 0.3,0.6,0.9\nshots = 70000\nseed = 11\n",
+    ]
+    runs += [
+        (("simulate", "--config", CONFIG, "--threads", t, "--out", OUT), c)
+        for c in configs
+        for t in "12"
+    ]
+    for i, (argv, config) in enumerate(runs):
+        shutil.rmtree(work, ignore_errors=True)
+        out.mkdir(parents=True)
+        if config is not None:
+            cfg.write_text(config)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = seqrac_main([{OUT: str(out), CONFIG: str(cfg)}.get(a, a) for a in argv])
+        stdout, stderr = (sha(s.getvalue().encode()) for s in (stdout, stderr))
+        print(i, " ".join(argv[:2]), "rc", code, "stdout", stdout, "stderr", stderr)
+        for f in sorted(out.iterdir()):
+            data = f.read_bytes()
+            if f.name.endswith("_manifest.json"):
+                manifest = json.loads(data)
+                del manifest["timestamp"]
+                data = json.dumps(manifest, sort_keys=True).encode()
+            print(i, f.name, sha(data))
+
+
+if __name__ == "__main__":
+    main()
