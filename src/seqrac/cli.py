@@ -154,7 +154,7 @@ def _schedule_payload(s) -> dict:
 def cmd_schedule(args) -> Output:
     if args.omega == "auto":
         try:
-            omega = find_omega(args.n, args.r, args.epsilon)
+            s = find_omega(args.n, args.r, args.epsilon)
         except SearchExhausted as exc:
             print(f"infeasible: {exc}", file=sys.stderr)
             return EXIT_INFEASIBLE, {}, {}
@@ -163,7 +163,7 @@ def cmd_schedule(args) -> Output:
             omega = mp.mpf(args.omega)
         except ValueError as exc:
             raise DomainError(f"bad omega {args.omega!r}") from exc
-    s = lambda_sequence(omega, args.r, args.epsilon, args.n)
+        s = lambda_sequence(omega, args.r, args.epsilon, args.n)
     payload = _schedule_payload(s)
     keys = ("k", "lambda", "m_product", "delta1", "delta2", "success", "success_margin_dec")
     rows = [[rec[key] for key in keys] for rec in payload["receivers"]]
@@ -358,25 +358,29 @@ def cmd_verify(args) -> Output:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False on every parser: a prefix such as --r is a usage
+    # error, not silently --resolution
     parser = argparse.ArgumentParser(
         prog="seqrac",
         description="Sequential 2->1 qubit RAC: bounds, schedules, simulation",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("thresholds", help="critical unsharpness along the unit arc")
+    p = add_parser("thresholds", help="critical unsharpness along the unit arc")
     p.set_defaults(handler=cmd_thresholds)
     p.add_argument("--grid", type=int, default=100)
     p.add_argument("--delta2", type=float, default=None)
     p.add_argument("--out", default=".")
 
-    p = sub.add_parser("region", help="quantum disc vs classical simplex scan")
+    p = add_parser("region", help="quantum disc vs classical simplex scan")
     p.set_defaults(handler=cmd_region)
     p.add_argument("--resolution", type=int, default=101)
     p.add_argument("--out", default=".")
 
-    p = sub.add_parser("schedule", help="synthesize an unsharpness schedule")
+    p = add_parser("schedule", help="synthesize an unsharpness schedule")
     p.set_defaults(handler=cmd_schedule)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=float, default=1.0)
@@ -384,25 +388,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", default="auto", help="opening angle or 'auto'")
     p.add_argument("--out", default=".")
 
-    p = sub.add_parser("sequence", help="per-receiver trace for fixed lambdas")
+    p = add_parser("sequence", help="per-receiver trace for fixed lambdas")
     p.set_defaults(handler=cmd_sequence)
     p.add_argument("--omega", type=float, required=True)
     p.add_argument("--r", type=float, default=1.0)
     p.add_argument("--lambdas", required=True, help="comma-separated")
     p.add_argument("--out", default=".")
 
-    p = sub.add_parser("simulate", help="Monte Carlo run from a config file")
+    p = add_parser("simulate", help="Monte Carlo run from a config file")
     p.set_defaults(handler=cmd_simulate)
     p.add_argument("--config", required=True)
     p.add_argument("--threads", type=int, default=None)
     p.add_argument("--out", default=".")
 
-    p = sub.add_parser("poly", help="exact small-angle polynomial table")
+    p = add_parser("poly", help="exact small-angle polynomial table")
     p.set_defaults(handler=cmd_poly)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--out", default=None)
 
-    p = sub.add_parser("verify", help="run the quick invariant suite")
+    p = add_parser("verify", help="run the quick invariant suite")
     p.set_defaults(handler=cmd_verify)
     return parser
 

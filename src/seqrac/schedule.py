@@ -11,11 +11,12 @@ receivers.  A schedule is feasible when every lam lies strictly in (0, 1);
 feasible schedules are strictly increasing with ``lam_{k+1} > 2 lam_k`` and
 give every receiver success strictly above 3/4.
 
-Everything here runs in arbitrary precision.  The numerator above suffers
-catastrophic cancellation for small ``w`` (the interesting regime: the
-feasible opening angle shrinks doubly exponentially with N, far below
-double range already for ~12 receivers), so the recursion is evaluated in
-the algebraically identical cancellation-free form
+Everything here runs in arbitrary precision, and the recurrence only in
+interval arithmetic (``mp.iv``), so every feasibility decision is proved.
+The numerator above suffers catastrophic cancellation for small ``w`` (the
+interesting regime: the feasible opening angle shrinks doubly exponentially
+with N, far below double range already for ~12 receivers), so the recursion
+is evaluated in the algebraically identical cancellation-free form
 
     W_1 = 1 - cos w = 2 sin^2(w/2),       lam_k = (1+eps) 2^(k-1) W_k/(r sin w)
     W_{k+1} = W_k + (1 - W_k) v_k / 2,    v_k = 1 - sqrt(1 - lam_k^2)
@@ -94,60 +95,54 @@ def _working_dps(n: int, dps: int) -> int:
     return dps + math.ceil(n * math.log10(2)) + GUARD_DIGITS
 
 
-def _receivers(ctx, omega, r, epsilon, n: int):
-    """Yield ``(lam_k, W_k, M_k, Delta2_k)`` for k = 1..n in the mpmath
-    context ``ctx``: ``mp`` for a point schedule, ``mp.iv`` for intervals.
-
-    ``Delta2_k = r sin(w) / 2^(k-1)``, so ``lam_k = (1+eps) W_k / Delta2_k``.
-    The caller stops at the first lam outside (0, 1): the next step takes
-    ``sqrt(1 - lam^2)``.
-    """
-    rs = r * ctx.sin(omega)
-    w_cur = 2 * ctx.sin(omega / 2) ** 2  # 1 - cos(omega), stable
-    inflate = 1 + epsilon
-    m_cur = ctx.mpf(1)
-    for k in range(1, n + 1):
-        delta2 = ctx.ldexp(rs, 1 - k)
-        lam = inflate * w_cur / delta2
-        yield lam, w_cur, m_cur, delta2
-        lam_sq = lam * lam
-        v = lam_sq / (1 + ctx.sqrt(1 - lam_sq))  # 1 - sqrt(1-lam^2)
-        w_cur = w_cur + (1 - w_cur) * v / 2
-        m_cur = m_cur * (2 - v)
-
-
-def lambda_sequence(
-    omega, r, epsilon, n: int, dps: int = DEFAULT_DPS
-) -> Schedule:
+def lambda_sequence(omega, r, epsilon, n: int, dps: int = DEFAULT_DPS) -> Schedule:
     """Build the schedule for ``n`` receivers at opening angle ``omega``.
 
-    Marks the schedule infeasible at the first receiver whose lam leaves
-    (0, 1) and truncates there (the offending value is kept for reporting).
-    Runs at ``_working_dps(n, dps)`` digits.
+    The recurrence runs in interval arithmetic (``mp.iv``) at
+    ``_working_dps(n, dps)`` digits, and each reported quantity is the
+    midpoint of its interval, so ``feasible`` is proved.  The schedule is
+    marked infeasible at the first receiver whose lam is not certainly in
+    (0, 1), an undecided comparison included, and truncated there (the
+    offending value is kept for reporting).
     """
     n = _check_n(n)
     with mp.workdps(_working_dps(n, dps)):
-        omega = mp.mpf(omega)
-        r = mp.mpf(r)
-        epsilon = mp.mpf(epsilon)
+        omega, r, epsilon = (mp.mpf(x) for x in (omega, r, epsilon))
         if not 0 < omega < mp.pi / 2:
             raise DomainError(f"omega {omega} outside (0, pi/2)")
         _check_r_epsilon(r, epsilon)
 
+        iv = mp.iv
         lambdas, m_products, deltas, successes, margins = [], [], [], [], []
         first_failure = None
-        for k, (lam, w_cur, m_cur, delta2) in enumerate(
-            _receivers(mp, omega, r, epsilon, n), 1
-        ):
-            delta1 = 1 - w_cur  # cos(w) M_k / 2^(k-1)
-            lambdas.append(lam)
-            m_products.append(m_cur)
-            deltas.append(DistinguishabilityPair(delta1, delta2))
-            successes.append(mp.mpf(1) / 2 + (delta1 + lam * delta2) / 4)
-            margins.append(epsilon * w_cur / 4)  # == success - 3/4, exactly
-            if not 0 < lam < 1:
-                first_failure = k
-                break
+        saved, iv.dps = iv.dps, mp.mp.dps
+        try:
+            w, eps = iv.mpf(omega), iv.mpf(epsilon)
+            rs = iv.mpf(r) * iv.sin(w)
+            w_cur = 2 * iv.sin(w / 2) ** 2  # 1 - cos(omega), stable
+            inflate = 1 + eps
+            m_cur = iv.mpf(1)
+            for k in range(1, n + 1):
+                delta1 = 1 - w_cur  # cos(w) M_k / 2^(k-1)
+                delta2 = iv.ldexp(rs, 1 - k)  # r sin(w) / 2^(k-1)
+                lam = inflate * w_cur / delta2
+                lam_k, m_k, delta1_k, delta2_k, margin = (
+                    mp.mpf(x.mid) for x in (lam, m_cur, delta1, delta2, eps * w_cur / 4)
+                )
+                lambdas.append(lam_k)
+                m_products.append(m_k)
+                deltas.append(DistinguishabilityPair(delta1_k, delta2_k))
+                successes.append(mp.mpf(1) / 2 + (delta1_k + lam_k * delta2_k) / 4)
+                margins.append(margin)  # == success - 3/4, exactly
+                if not 0 < lam < 1:  # an undecided comparison gives None
+                    first_failure = k
+                    break
+                lam_sq = lam * lam
+                v = lam_sq / (1 + iv.sqrt(1 - lam_sq))  # 1 - sqrt(1-lam^2)
+                w_cur = w_cur + delta1 * v / 2
+                m_cur = m_cur * (2 - v)
+        finally:
+            iv.dps = saved
 
         return Schedule(
             omega=omega,
@@ -173,37 +168,19 @@ def feasibility_report(s: Schedule) -> tuple[bool, bool, Optional[int]]:
     return feasible, monotone_doubling, s.first_failure
 
 
-def certified(omega, r, epsilon, n: int, dps: int = DEFAULT_DPS) -> bool:
-    """Whether interval arithmetic at ``_working_dps(n, dps)`` digits proves
-    every lam_k in (0, 1) at ``omega`` (and with it every margin above 0).
-
-    An interval comparison that cannot be decided gives ``None``, which
-    rejects the point.
-    """
-    n = _check_n(n)
-    iv = mp.iv
-    saved = iv.dps
-    iv.dps = _working_dps(n, dps)
-    try:
-        points = [iv.mpf(x) for x in (omega, r, epsilon)]
-        return all(0 < lam < 1 for lam, _, _, _ in _receivers(iv, *points, n))
-    finally:
-        iv.dps = saved
-
-
-def find_omega(n: int, r, epsilon, dps: int = DEFAULT_DPS) -> mp.mpf:
-    """A certified feasible opening angle for ``n`` receivers.
+def find_omega(n: int, r, epsilon, dps: int = DEFAULT_DPS) -> Schedule:
+    """A feasible schedule for ``n`` receivers; its ``omega`` is the angle.
 
     The target is lam_n = 1 - 10^-TARGET_DIGITS.  For n = 1 it inverts in
     closed form.  In the small-angle regime it is ``target / c_n`` with
-    c_n from the value recurrence, which needs no point evaluation.
-    Otherwise regula falsi with the Illinois weighting runs on
-    ``lam_n - target``, bisecting while the upper end failed at an earlier
-    receiver, and stops at the first point with ``1 - lam_n <=
-    10^-(TARGET_DIGITS - 8)``.  Every returned point passes
-    :func:`certified`.  For large ``n`` the result lies far below
-    double-precision range; keep it as the returned arbitrary-precision
-    value.
+    c_n from the value recurrence, which needs one :func:`lambda_sequence`
+    call to prove it.  Otherwise regula falsi with the Illinois weighting
+    runs on ``lam_n - target``, bisecting while the upper end failed at an
+    earlier receiver, and stops at the first feasible point with ``1 -
+    lam_n <= 10^-(TARGET_DIGITS - 8)``.  The returned schedule is the one
+    that decided, so its ``feasible`` is proved.  For large ``n`` the angle
+    lies far below double-precision range; keep it as the arbitrary-precision
+    ``omega``.
     """
     n = _check_n(n)
     with mp.workdps(_working_dps(n, dps)):
@@ -216,8 +193,10 @@ def find_omega(n: int, r, epsilon, dps: int = DEFAULT_DPS) -> mp.mpf:
             x = 2 * mp.atan(target * r / (1 + epsilon))
         else:
             x = target / leading_coefficient_numeric(n, (1 + epsilon) / (2 * r))
-            if x < mp.mpf(10) ** -(TARGET_DIGITS + 5) and certified(x, r, epsilon, n, dps):
-                return x
+            if x < mp.mpf(10) ** -(TARGET_DIGITS + 5):
+                s = lambda_sequence(x, r, epsilon, n, dps=dps)
+                if s.feasible:
+                    return s
 
         # Bracket ends as (omega, lam_n - target); lam_n(0) = 0, and the
         # upper end's value is None while it failed before receiver n (or
@@ -226,13 +205,14 @@ def find_omega(n: int, r, epsilon, dps: int = DEFAULT_DPS) -> mp.mpf:
         side = 0
         for _ in range(MAX_EVALS):
             s = lambda_sequence(x, r, epsilon, n, dps=dps)
-            close = s.feasible and 1 - s.lambdas[-1] <= stop
-            if close and certified(x, r, epsilon, n, dps):
-                return x
-            # A close point that fails the certificate counts as an upper end
-            # that failed early, so the search moves below it.
-            f = s.lambdas[-1] - target if len(s.lambdas) == n and not close else None
-            if s.feasible and not close:
+            full = len(s.lambdas) == n
+            close = full and 0 < 1 - s.lambdas[-1] <= stop
+            if close and s.feasible:
+                return s
+            # A close point that is undecided counts as an upper end that
+            # failed early, so the search moves below it.
+            f = s.lambdas[-1] - target if full and not close else None
+            if s.feasible:
                 if side < 0 and hi[1] is not None:
                     hi = (hi[0], hi[1] / 2)
                 lo, side = (x, f), -1

@@ -152,8 +152,8 @@ def omega_estimate(k: int, r: float, epsilon: float):
     k = _check_order(k)
     if not 0 < r <= 1:
         raise DomainError(f"r {r} outside (0, 1]")
-    if epsilon < 0:
-        raise DomainError("epsilon must be >= 0")
+    if not 0 <= epsilon < math.inf:  # also rejects nan
+        raise DomainError(f"epsilon {epsilon} must be finite and >= 0")
     with mp.workdps(40):
         c = 1 / (2 * mp.mpf(r))
         x, dx = c * c, 2 * c

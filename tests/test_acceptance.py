@@ -133,9 +133,9 @@ def test_criterion_04_four_receiver_headline(record):
 
 def test_criterion_05_unbounded_receiver_evidence(record):
     start = time.perf_counter()
-    w10 = find_omega(10, 1.0, 1e-4)
+    w10 = find_omega(10, 1.0, 1e-4).omega
     ok10 = lambda_sequence(w10, 1.0, 1e-4, 10).feasible
-    w16 = find_omega(16, 1.0, 1e-4)
+    w16 = find_omega(16, 1.0, 1e-4).omega
     ok16 = lambda_sequence(w16, 1.0, 1e-4, 16).feasible
     elapsed = time.perf_counter() - start
     ok = ok10 and ok16 and elapsed < 10.0

@@ -81,8 +81,9 @@ class TestKrausPair:
         assert kp.k_minus.trace_part == a and kp.k_minus.bloch[2] == -b
         assert a * a + b * b == pytest.approx(0.5, abs=1e-15)
         assert 2 * a * b == pytest.approx(lam / 2.0, abs=1e-15)
+        # (1 - lam)(1 + lam), not 1 - lam^2: the latter loses ~1e-15 near lam = 1
         assert a * a - b * b == pytest.approx(
-            math.sqrt(1.0 - lam * lam) / 2.0, abs=1e-15
+            math.sqrt((1.0 - lam) * (1.0 + lam)) / 2.0, abs=1e-15
         )
 
 

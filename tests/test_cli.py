@@ -133,17 +133,23 @@ class TestPinnedBytes:
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize(
-        "omega, json_digest, csv_digest",
+        "omega, json_digest, csv_digest, n, code",
         [
             ("0.03125", "e27461cbd9f60b1dc9a260dc7029645c53a30dfe54848d6b5fc898b0817583f9",
-             "bfe4546587d00484a453667ee984b0d4fcdc86d1e980476f0e661343d414e8ea"),
+             "bfe4546587d00484a453667ee984b0d4fcdc86d1e980476f0e661343d414e8ea", "4", EXIT_OK),
             ("auto", "67112561b8a393a357e4c2d8fda500fb40102d5de3a4667720ba2c267fcaeb0f",
-             "0c6801240845dca5cbc153226a556d9d343efe44189b83b02e50b33616053b32"),
+             "0c6801240845dca5cbc153226a556d9d343efe44189b83b02e50b33616053b32", "5", EXIT_OK),
+            # infeasible at receivers 4 and 6: decided by interval comparisons
+            ("0.0315", "3e230a519b2baf13cc72bdf982c7d94a84c3418bdb111b358cdd9c83bb503383",
+             "42d9fe17c11ae8bb2d14fc9c24045fd60749f064e412f9110c0ec7196371b600", "4",
+             EXIT_INFEASIBLE),
+            ("1e-6", "50ecf77c376e7455951030c8780a6e1cb17267edb868d0b991bbf5d51bc449f2",
+             "186173d0db9d01e4fd0403d2f6dda175fd0b6a8056ac9478c8f6433e569fbd8b", "8",
+             EXIT_INFEASIBLE),
         ],
     )
-    def test_schedule_digest(self, tmp_path, omega, json_digest, csv_digest):
-        n = "4" if omega != "auto" else "5"
-        assert main(["schedule", "--n", n, "--omega", omega, "--out", str(tmp_path)]) == EXIT_OK
+    def test_schedule_digest(self, tmp_path, omega, json_digest, csv_digest, n, code):
+        assert main(["schedule", "--n", n, "--omega", omega, "--out", str(tmp_path)]) == code
         for name, digest in (("schedule.json", json_digest), ("schedule.csv", csv_digest)):
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
@@ -198,7 +204,7 @@ class TestScheduleCommand:
         argv = ["schedule", "--n", "19", "--epsilon", "1e-4", "--out", str(tmp_path)]
         assert main(argv) == EXIT_OK
         data = json.loads((tmp_path / "schedule.json").read_text())
-        s = lambda_sequence(find_omega(19, 1.0, 1e-4), 1.0, 1e-4, 19)
+        s = find_omega(19, 1.0, 1e-4)
         pairs = [(data["omega_dec"], s.omega)]
         for rec, lam, margin in zip(data["receivers"], s.lambdas, s.success_margins):
             pairs += [(rec["lambda_dec"], lam), (rec["success_margin_dec"], margin)]
@@ -219,6 +225,32 @@ class TestScheduleCommand:
             # the printed angle, read back at twice the precision
             s = lambda_sequence(data["omega_dec"], r, eps, n, dps=2 * DEFAULT_DPS)
             assert s.feasible, argv
+
+    def test_auto_schedule_is_the_search_result(self, tmp_path, monkeypatch):
+        # n >= 8: one recurrence pass proves the closed-form angle; n <= 7:
+        # the search's own evaluations.  Either way none runs after it.
+        calls, at_return = [], []
+        evaluate, search = seqrac.schedule.lambda_sequence, seqrac.cli.find_omega
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return evaluate(*args, **kwargs)
+
+        def searching(*args, **kwargs):
+            s = search(*args, **kwargs)
+            at_return.append(len(calls))
+            return s
+
+        monkeypatch.setattr(seqrac.schedule, "lambda_sequence", counting)
+        monkeypatch.setattr(seqrac.cli, "lambda_sequence", counting)
+        monkeypatch.setattr(seqrac.cli, "find_omega", searching)
+        for n in range(1, 13):
+            calls.clear()
+            at_return.clear()
+            argv = ["schedule", "--n", str(n), "--omega", "auto", "--out", str(tmp_path)]
+            assert main(argv) == EXIT_OK
+            assert at_return == [len(calls)], n
+            assert len(calls) == 1 if n >= 8 else len(calls) >= 1, (n, len(calls))
 
     def test_search_exhausted_is_infeasible(self, tmp_path, monkeypatch, capsys):
         def exhausted(*args, **kwargs):
@@ -429,6 +461,17 @@ class TestExitCodes:
         assert main(argv) == EXIT_USAGE
         assert "error: epsilon +inf is not finite" in capsys.readouterr().err
         assert not (tmp_path / "schedule.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["region", "--r", "5"], ["schedule", "--n", "3", "--eps", "1e-3"],
+         ["schedule", "--n", "3", "--om", "0.1"]],
+    )
+    def test_flag_prefix_is_usage(self, tmp_path, capsys, argv):
+        # --r would otherwise run region --resolution 5 and exit 0
+        assert main([*argv, "--out", str(tmp_path)]) == EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_uncreatable_out_is_usage(self, tmp_path, capsys):
         blocker = tmp_path / "file"

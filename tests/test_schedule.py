@@ -17,7 +17,7 @@ from seqrac import (
     propagate,
     square_preparations,
 )
-from seqrac.schedule import DEFAULT_DPS, certified
+from seqrac.schedule import DEFAULT_DPS
 
 X = SharpObservable.from_axis((1.0, 0.0, 0.0))
 Z = SharpObservable.from_axis((0.0, 0.0, 1.0))
@@ -96,44 +96,44 @@ class TestLambdaSequence:
 
 class TestFindOmega:
     def test_quartic_boundary_location(self):
-        w = find_omega(4, 1.0, 1e-4)
+        s = find_omega(4, 1.0, 1e-4)
+        w = s.omega
         assert float(w) == pytest.approx(0.031420810912, abs=1e-9)
-        assert lambda_sequence(w, 1.0, 1e-4, 4).feasible
+        assert s.feasible and lambda_sequence(w, 1.0, 1e-4, 4) == s
         assert not lambda_sequence(float(w) + 1e-7, 1.0, 1e-4, 4).feasible
 
     def test_returned_point_always_feasible(self):
         for n in (1, 2, 3, 5, 6):
-            w = find_omega(n, 1.0, 1e-4)
-            assert lambda_sequence(w, 1.0, 1e-4, n).feasible
+            s = find_omega(n, 1.0, 1e-4)
+            assert s.feasible and s.n == n and len(s.lambdas) == n
+            assert lambda_sequence(s.omega, 1.0, 1e-4, n).feasible
 
     def test_deep_sequences_exist(self):
         # feasible angles shrink doubly exponentially yet remain findable
-        w10 = find_omega(10, 1.0, 1e-4)
+        w10 = find_omega(10, 1.0, 1e-4).omega
         assert lambda_sequence(w10, 1.0, 1e-4, 10).feasible
         assert mp.mpf("1e-160") < w10 < mp.mpf("1e-140")
-        w16 = find_omega(16, 1.0, 1e-4)
-        assert lambda_sequence(w16, 1.0, 1e-4, 16).feasible
-        assert w16 < mp.mpf("1e-9000")
-        assert certified(w16, 1.0, 1e-4, 16)
-        assert print_feasible_at_double_dps(w16, 1.0, 1e-4, 16)
+        s16 = find_omega(16, 1.0, 1e-4)
+        assert s16.feasible and s16.omega < mp.mpf("1e-9000")
+        assert lambda_sequence(s16.omega, 1.0, 1e-4, 16).feasible
+        assert print_feasible_at_double_dps(s16.omega, 1.0, 1e-4, 16)
 
     @pytest.mark.parametrize(
         "n, exponent",
         [(20, -157_836), (32, -646_519_160), (64, -2_776_778_686_750_077_744)],
     )
     def test_deep_closed_form_is_certified(self, n, exponent):
-        w = find_omega(n, 1.0, 1e-4)
+        s = find_omega(n, 1.0, 1e-4)
         with mp.workdps(40):
-            assert int(mp.floor(mp.log10(w))) == exponent
-        assert certified(w, 1.0, 1e-4, n)
-        assert print_feasible_at_double_dps(w, 1.0, 1e-4, n)
-        gap = 1 - lambda_sequence(w, 1.0, 1e-4, n).lambdas[-1]
-        assert float(gap) == pytest.approx(1e-25, rel=1e-3, abs=0)
+            assert int(mp.floor(mp.log10(s.omega))) == exponent
+        assert s.feasible
+        assert print_feasible_at_double_dps(s.omega, 1.0, 1e-4, n)
+        assert float(1 - s.lambdas[-1]) == pytest.approx(1e-25, rel=1e-3, abs=0)
 
     def test_precision_grows_with_n(self):
         # with dps 50 as the working precision at every n, 1 - lam_100 read
         # 5.5e-23 at dps 50 against 1.4e-22 at dps 100
-        w = find_omega(100, 1.0, 1e-4)
+        w = find_omega(100, 1.0, 1e-4).omega
         gaps = [float(1 - lambda_sequence(w, 1.0, 1e-4, 100, dps=d).lambdas[-1]) for d in (50, 100)]
         assert gaps[0] == pytest.approx(gaps[1], rel=1e-3, abs=0)
         assert gaps[1] == pytest.approx(1e-25, rel=1e-3, abs=0)
@@ -149,49 +149,59 @@ class TestFindOmega:
             find_omega(3, 1.0, -1e-4)
 
     def test_monotone_in_receiver_count(self):
-        angles = [find_omega(n, 1.0, 1e-4) for n in (2, 3, 4, 5)]
+        angles = [find_omega(n, 1.0, 1e-4).omega for n in (2, 3, 4, 5)]
         assert all(b < a for a, b in zip(angles, angles[1:]))
 
     def test_certified_on_seeded_grid(self):
         for n, r, eps in seeded_grid(64, seed=20261018):
-            w = find_omega(n, r, eps)
-            assert certified(w, r, eps, n), (n, r, eps)
-            assert print_feasible_at_double_dps(w, r, eps, n), (n, r, eps)
+            s = find_omega(n, r, eps)
+            assert s.feasible and len(s.lambdas) == n, (n, r, eps)
+            assert print_feasible_at_double_dps(s.omega, r, eps, n), (n, r, eps)
 
     def test_point_evaluations_per_search(self, monkeypatch):
         calls = []
-        point = seqrac.schedule.lambda_sequence
+        evaluate = seqrac.schedule.lambda_sequence
 
         def counting(*args, **kwargs):
-            calls.append(args)
-            return point(*args, **kwargs)
+            calls.append(evaluate(*args, **kwargs))
+            return calls[-1]
 
         monkeypatch.setattr(seqrac.schedule, "lambda_sequence", counting)
         for n, r, eps in seeded_grid(12, seed=7, repeats=3):
             calls.clear()
-            find_omega(n, r, eps)
+            s = find_omega(n, r, eps)
+            assert s is calls[-1], (n, r, eps)  # the last evaluation decided
             if n <= 6:
                 assert len(calls) <= 10, (n, r, eps, len(calls))
             elif n >= 8:
-                assert not calls, (n, r, eps)
+                assert len(calls) == 1, (n, r, eps, len(calls))
 
 
 class TestCertificate:
     def test_rejects_points_past_the_boundary(self):
-        assert certified(0.03125, 1.0, 1e-4, 4)
-        assert not certified(0.0315, 1.0, 1e-4, 4)
-        assert not certified(1e-6, 1.0, 1e-4, 8)
+        assert lambda_sequence(0.03125, 1.0, 1e-4, 4).feasible
+        assert not lambda_sequence(0.0315, 1.0, 1e-4, 4).feasible
+        assert not lambda_sequence(1e-6, 1.0, 1e-4, 8).feasible
 
     def test_undecided_interval_rejects(self):
         # at 1 - lam_n = 1e-25 the interval straddles 1 unless the
         # precision covers the 25 digits of the gap
-        w = find_omega(12, 1.0, 1e-4)
-        assert certified(w, 1.0, 1e-4, 12)
-        assert not certified(w, 1.0, 1e-4, 12, dps=5)
+        w = find_omega(12, 1.0, 1e-4).omega
+        assert lambda_sequence(w, 1.0, 1e-4, 12).feasible
+        s = lambda_sequence(w, 1.0, 1e-4, 12, dps=5)
+        assert not s.feasible and s.first_failure == 12
 
-    def test_restores_interval_precision(self):
+    def test_restores_interval_precision(self, monkeypatch):
         before = mp.iv.dps
-        certified(0.03125, 1.0, 1e-4, 4, dps=200)
+        lambda_sequence(0.03125, 1.0, 1e-4, 4, dps=200)
+        assert mp.iv.dps == before
+
+        def broken(*args):
+            raise RuntimeError("inside the recurrence")
+
+        monkeypatch.setattr(seqrac.schedule, "DistinguishabilityPair", broken)
+        with pytest.raises(RuntimeError):
+            lambda_sequence(0.03125, 1.0, 1e-4, 4, dps=200)
         assert mp.iv.dps == before
 
 
@@ -213,8 +223,7 @@ def print_feasible_at_double_dps(w, r, eps, n):
 
 class TestScheduleStructure:
     def test_doubling_monotonicity(self):
-        w = find_omega(6, 1.0, 1e-4)
-        s = lambda_sequence(w, 1.0, 1e-4, 6)
+        s = find_omega(6, 1.0, 1e-4)
         _, doubling, _ = feasibility_report(s)
         assert doubling
 

@@ -1,5 +1,6 @@
 """Exact-rational polynomial recurrence and the small-angle estimate."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -164,6 +165,11 @@ class TestOmegaEstimate:
             omega_estimate(4, 0.0, 1e-4)
         with pytest.raises(DomainError):
             omega_estimate(4, 1.0, -1e-4)
+        # nan returned nan and inf returned 0.0, both silently
+        with pytest.raises(DomainError, match="epsilon nan must be finite"):
+            omega_estimate(8, 0.5, math.nan)
+        with pytest.raises(DomainError, match="epsilon inf must be finite"):
+            omega_estimate(8, 0.5, math.inf)
 
 
 class TestSmallAngleConsistency:

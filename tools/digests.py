@@ -12,8 +12,11 @@ and of every manifest with its ``timestamp`` removed.  Two checkouts whose
 listings are equal wrote the same bytes.  Give both the same WORKDIR: the
 config path appears in manifests and error messages.  The runs are every op of
 ``schedule_auto`` seeds 1 and 2 and of ``scalar_mix`` seed 1 (from
-``bench/workloads.py``), ``poly --k 1..10 --out``, an infeasible
-``schedule``, and four ``simulate`` configs at 1 and 2 threads.
+``bench/workloads.py``), ``poly --k 1..10 --out``, ``schedule`` at a numeric
+omega in {0.03125, 0.0315, 0.001, 0.3, 1e-9} for n in {1, 2, 3, 4, 5, 8, 12}
+(feasible and infeasible), ``schedule --omega auto`` for n in {1, 6, 7, 40,
+64, 100} at r in {0.3, 1} and epsilon in {1e-6, 0.01}, and four ``simulate``
+configs at 1 and 2 threads.
 """
 
 import contextlib
@@ -42,7 +45,17 @@ def main() -> None:
         for op in generate(name, seed)
     ]
     runs += [(("poly", "--k", str(k), "--out", OUT), None) for k in range(1, 11)]
-    runs += [(("schedule", "--n", "4", "--omega", "0.0315", "--out", OUT), None)]  # exits 2
+    runs += [
+        (("schedule", "--n", n, "--omega", omega, "--out", OUT), None)
+        for omega in ("0.03125", "0.0315", "0.001", "0.3", "1e-9")
+        for n in ("1", "2", "3", "4", "5", "8", "12")
+    ]
+    runs += [
+        (("schedule", "--n", n, "--r", r, "--epsilon", eps, "--omega", "auto", "--out", OUT), None)
+        for n in ("1", "6", "7", "40", "64", "100")
+        for r in ("0.3", "1")
+        for eps in ("1e-6", "0.01")
+    ]
     configs = [
         "omega = 0.3\nlambdas = 0.5,0.8\nshots = 300017\nseed = 7\n",
         "omega = 0.1\nr = 0.8\nlambdas = 0.2,0.4,0.6,0.9\nshots = 200000\nseed = 2026\n",
