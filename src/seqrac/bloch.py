@@ -16,6 +16,7 @@ from .errors import DegeneratePair, InvalidState
 
 STATE_TOL = 1e-12
 DEGENERACY_TOL = 1e-12
+_ANTICOMMUTE_TOL = 1e-12
 
 
 def _as_vec(v) -> tuple[float, float, float]:
@@ -64,8 +65,8 @@ class HermitianOp:
 class DensityOp(HermitianOp):
     """A valid qubit state ``(I + n . sigma) / 2``.
 
-    ``trace_part`` is pinned to 1/2; validity (``|n| <= 1`` and positivity)
-    is enforced at construction.  Prefer :meth:`from_bloch`.
+    ``trace_part`` is pinned to 1/2, so the ``|n| <= 1`` enforced at
+    construction is exactly positivity.  Prefer :meth:`from_bloch`.
     """
 
     def __post_init__(self):
@@ -73,10 +74,8 @@ class DensityOp(HermitianOp):
         if self.trace_part != 0.5:
             raise InvalidState("density operator must have trace_part = 1/2")
         n = 2.0 * self.bloch_norm
-        if n > 1.0 + STATE_TOL:
+        if not n <= 1.0 + STATE_TOL:  # a NaN norm fails too
             raise InvalidState(f"Bloch vector norm {n} exceeds 1")
-        if min(self.eigenvalues()) < -STATE_TOL:
-            raise InvalidState("density operator is not positive semidefinite")
 
     @classmethod
     def from_bloch(cls, n) -> "DensityOp":
@@ -98,7 +97,7 @@ class SharpObservable(HermitianOp):
         super().__post_init__()
         if self.trace_part != 0.0:
             raise InvalidState("sharp observable must be traceless")
-        if abs(self.bloch_norm - 1.0) > STATE_TOL:
+        if not abs(self.bloch_norm - 1.0) <= STATE_TOL:  # a NaN norm fails too
             raise InvalidState("sharp observable requires |bloch| = 1")
 
     @classmethod
@@ -109,9 +108,9 @@ class SharpObservable(HermitianOp):
             raise DegeneratePair("cannot orient an observable along a null axis")
         return cls(0.0, (x / n, y / n, z / n))
 
-    def anticommutes_with(self, other: "SharpObservable", tol: float = 1e-12) -> bool:
+    def anticommutes_with(self, other: "SharpObservable") -> bool:
         """True iff the Bloch axes are orthogonal, i.e. {B1,B2} = 0."""
-        return abs(self.dot_bloch(other)) <= tol
+        return abs(self.dot_bloch(other)) <= _ANTICOMMUTE_TOL
 
 
 def trace_norm(a: HermitianOp) -> float:

@@ -29,9 +29,12 @@ def _check_lambda(lam: float) -> float:
     return lam
 
 
-def _one_minus_sqrt1m(lam2: float) -> float:
-    # 1 - sqrt(1 - lam^2) without cancellation for small lam
-    return lam2 / (1.0 + math.sqrt(1.0 - lam2))
+def _disturbance(lam: float) -> tuple[float, float]:
+    """``(sqrt(1-lam^2), 1 - sqrt(1-lam^2))``: the transverse shrink an
+    unsharp measurement applies, and its complement, the latter written
+    without cancellation for small ``lam``."""
+    root = math.sqrt(1.0 - lam * lam)
+    return root, lam * lam / (1.0 + root)
 
 
 @dataclass(frozen=True)
@@ -115,12 +118,11 @@ def selective_outcome(
     axis = m.observable.bloch
     n = rho.bloch_vector
     n_dot_b = sum(a * b for a, b in zip(n, axis))
-    root = math.sqrt(1.0 - lam * lam)
-    shrink = _one_minus_sqrt1m(lam * lam)  # 1 - sqrt(1-lam^2)
+    root, shrink = _disturbance(lam)
 
     branches = []
     for sign in (+1, -1):
-        prob = 0.5 * (1.0 + sign * lam * n_dot_b)
+        prob = m.outcome_probability(rho, sign)
         if prob < ZERO_PROB_TOL:
             branches.append(SelectiveBranch(max(prob, 0.0), None))
             continue
@@ -141,9 +143,7 @@ def _channel_bloch(v, step: SequentialChannelStep) -> tuple[float, float, float]
     """
     (a1x, a1y, a1z), (a2x, a2y, a2z) = step.b1.bloch, step.b2.bloch
     x, y, z = v
-    lam2 = step.lam * step.lam
-    root = math.sqrt(1.0 - lam2)
-    shrink = _one_minus_sqrt1m(lam2)
+    root, shrink = _disturbance(step.lam)
     # Left to right from 0.0, as sum() adds, so the sign of a zero is kept.
     v_a1 = 0.0 + a1x * x + a1y * y + a1z * z
     v_a2s = (0.0 + a2x * x + a2y * y + a2z * z) * shrink

@@ -33,7 +33,7 @@ from .montecarlo import (
     analytic_reference,
     run as run_simulation,
 )
-from .rac import DistinguishabilityPair, square_preparations, thresholds
+from .rac import QUANTUM_DISC_TOL, DistinguishabilityPair, square_preparations, thresholds
 from .schedule import feasibility_report, find_omega, lambda_sequence
 from .sequential import propagate
 from .smallangle import odd_power_expansion, small_angle_poly
@@ -266,7 +266,7 @@ def cmd_simulate(args) -> Output:
             "k": k + 1,
             "empirical_success": st.empirical_success,
             "standard_error": st.standard_error,
-            "shots_counted": st.shots_counted,
+            "shots_counted": shots,
             "analytic_success": ana_succ[k],
             "mean_post_bloch": list(result.mean_post_bloch[k]),
             "analytic_post_bloch": list(ana_states[k]),
@@ -280,7 +280,7 @@ def cmd_simulate(args) -> Output:
         "omega": omega,
         "r": r,
         "lambdas": lams,
-        "rng_algorithm": result.rng_algorithm,
+        "rng_algorithm": RNG_ALGORITHM,
         "receivers": receivers,
     }
     header = ["k", "empirical_success", "analytic_success", "standard_error", "shots_counted"]
@@ -316,9 +316,9 @@ def cmd_verify(args) -> Output:
     checks = []
 
     max_sq = theorem1_sampler(20000, seed=7)
-    checks.append(("distinguishability disc bound", max_sq <= 1.0 + 1e-9))
+    checks.append(("distinguishability disc bound", max_sq <= 1.0 + QUANTUM_DISC_TOL))
     max_sq_pure = theorem1_sampler(20000, seed=8, pure=True)
-    checks.append(("disc bound, pure stratum", max_sq_pure <= 1.0 + 1e-9))
+    checks.append(("disc bound, pure stratum", max_sq_pure <= 1.0 + QUANTUM_DISC_TOL))
 
     prep = square_preparations(0.3, 0.9)
     steps = [SequentialChannelStep(B1, B2, lam) for lam in (0.3, 0.5, 0.8)]
@@ -398,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("simulate", help="Monte Carlo run from a config file")
     p.set_defaults(handler=cmd_simulate)
     p.add_argument("--config", required=True)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", default=".")
 
     p = add_parser("poly", help="exact small-angle polynomial table")

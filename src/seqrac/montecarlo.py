@@ -22,7 +22,7 @@ import os
 from dataclasses import dataclass
 
 from .bloch import DensityOp
-from .channel import SequentialChannelStep, nonselective_step
+from .channel import SequentialChannelStep, _disturbance, nonselective_step
 from .errors import AxisError, DomainError
 from .rac import PreparationFamily
 from .sequential import _check_axes, propagate
@@ -55,7 +55,6 @@ class SimulationConfig:
 class ReceiverStats:
     empirical_success: float
     standard_error: float
-    shots_counted: int
 
 
 @dataclass(frozen=True)
@@ -64,7 +63,6 @@ class SimulationResult:
 
     per_receiver: tuple[ReceiverStats, ...]
     mean_post_bloch: tuple[tuple[float, float, float], ...]
-    rng_algorithm: str = RNG_ALGORITHM
 
 
 def _shard(config: SimulationConfig, shard_index: int, m: int):
@@ -121,7 +119,7 @@ def _shard(config: SimulationConfig, shard_index: int, m: int):
     post_sums = np.zeros((n_rec, 3))
     for k, step in enumerate(steps):
         lam = step.lam
-        root = math.sqrt(1.0 - lam * lam)
+        root, _ = _disturbance(lam)
         row = words[1 + k]
         np.bitwise_and(row, np.uint64(1), out=w, casting="unsafe")
         np.not_equal(w, 0.0, out=unsharp)
@@ -190,21 +188,15 @@ def _in_order(fn, count: int, workers: int):
             yield result
 
 
-def run(config: SimulationConfig, threads: int | None = None) -> SimulationResult:
+def run(config: SimulationConfig, threads: int = 1) -> SimulationResult:
     """Simulate the full protocol; deterministic given (seed, config).
 
-    ``threads`` caps shard parallelism (default: SEQRAC_THREADS env var, or
-    1); the pool never has more workers than shards or CPUs.  The shard
-    decomposition is fixed, so the thread count never changes the result.
+    ``threads`` caps shard parallelism; the pool never has more workers than
+    shards or CPUs.  The shard decomposition is fixed, so the thread count
+    never changes the result.
     """
     import numpy as np  # before the pool starts, so no worker races the first import
 
-    if threads is None:
-        text = os.environ.get("SEQRAC_THREADS", "1")
-        try:
-            threads = int(text)
-        except ValueError as exc:
-            raise DomainError(f"SEQRAC_THREADS={text!r} is not an integer") from exc
     if threads < 1:
         raise DomainError(f"thread count {threads} must be >= 1")
     shots = config.shots
@@ -225,7 +217,7 @@ def run(config: SimulationConfig, threads: int | None = None) -> SimulationResul
     for k in range(n_rec):
         p_hat = successes[k] / shots
         se = math.sqrt(p_hat * (1.0 - p_hat) / shots)
-        stats.append(ReceiverStats(float(p_hat), se, shots))
+        stats.append(ReceiverStats(float(p_hat), se))
     mean_post = tuple(tuple(float(c) for c in post_sums[k] / shots) for k in range(n_rec))
     return SimulationResult(tuple(stats), mean_post)
 

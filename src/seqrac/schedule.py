@@ -41,11 +41,11 @@ from .smallangle import leading_coefficient_numeric
 
 DEFAULT_DPS = 50
 GUARD_DIGITS = 10
-# find_omega aims at lam_n = 1 - 10^-TARGET_DIGITS.  Below an angle of
-# 10^-(TARGET_DIGITS + 5), lam_n = c_n w (1 + O(w)) meets that target to
-# within a 10^-5 share of its gap to 1, so (1 - 10^-TARGET_DIGITS)/c_n is
-# the answer; above it the search stops at the first certified point with
-# 1 - lam_n <= 10^-(TARGET_DIGITS - 8).
+# find_omega aims at lam_n = 1 - 10^-TARGET_DIGITS and stops at the first
+# certified point with 1 - lam_n <= 10^-(TARGET_DIGITS - 8).  Its first
+# point is (1 - 10^-TARGET_DIGITS)/c_n; below an angle of
+# 10^-(TARGET_DIGITS + 5), lam_n = c_n w (1 + O(w)) meets the target there
+# to within a 10^-5 share of its gap to 1, so that first point stops it.
 TARGET_DIGITS = 25
 # The search needs at most a handful of evaluations at the default precision;
 # this bound only ends it when the precision is too low to meet the target.
@@ -168,22 +168,23 @@ def feasibility_report(s: Schedule) -> tuple[bool, bool, Optional[int]]:
     return feasible, monotone_doubling, s.first_failure
 
 
-def find_omega(n: int, r, epsilon, dps: int = DEFAULT_DPS) -> Schedule:
+def find_omega(n: int, r, epsilon) -> Schedule:
     """A feasible schedule for ``n`` receivers; its ``omega`` is the angle.
 
-    The target is lam_n = 1 - 10^-TARGET_DIGITS.  For n = 1 it inverts in
-    closed form.  In the small-angle regime it is ``target / c_n`` with
-    c_n from the value recurrence, which needs one :func:`lambda_sequence`
-    call to prove it.  Otherwise regula falsi with the Illinois weighting
-    runs on ``lam_n - target``, bisecting while the upper end failed at an
-    earlier receiver, and stops at the first feasible point with ``1 -
-    lam_n <= 10^-(TARGET_DIGITS - 8)``.  The returned schedule is the one
-    that decided, so its ``feasible`` is proved.  For large ``n`` the angle
-    lies far below double-precision range; keep it as the arbitrary-precision
+    The target is lam_n = 1 - 10^-TARGET_DIGITS.  The first point is its
+    closed-form inverse for n = 1 and ``target / c_n`` otherwise, with c_n
+    from the value recurrence; in the small-angle regime (n >= 8) that point
+    already meets the stop, so one :func:`lambda_sequence` call proves it.
+    From there regula falsi with the Illinois weighting runs on ``lam_n -
+    target``, bisecting while the upper end failed at an earlier receiver,
+    and stops at the first feasible point with ``1 - lam_n <=
+    10^-(TARGET_DIGITS - 8)``.  The returned schedule is the one that
+    decided, so its ``feasible`` is proved.  For large ``n`` the angle lies
+    far below double-precision range; keep it as the arbitrary-precision
     ``omega``.
     """
     n = _check_n(n)
-    with mp.workdps(_working_dps(n, dps)):
+    with mp.workdps(_working_dps(n, DEFAULT_DPS)):
         r = mp.mpf(r)
         epsilon = mp.mpf(epsilon)
         _check_r_epsilon(r, epsilon)
@@ -193,10 +194,6 @@ def find_omega(n: int, r, epsilon, dps: int = DEFAULT_DPS) -> Schedule:
             x = 2 * mp.atan(target * r / (1 + epsilon))
         else:
             x = target / leading_coefficient_numeric(n, (1 + epsilon) / (2 * r))
-            if x < mp.mpf(10) ** -(TARGET_DIGITS + 5):
-                s = lambda_sequence(x, r, epsilon, n, dps=dps)
-                if s.feasible:
-                    return s
 
         # Bracket ends as (omega, lam_n - target); lam_n(0) = 0, and the
         # upper end's value is None while it failed before receiver n (or
@@ -204,7 +201,7 @@ def find_omega(n: int, r, epsilon, dps: int = DEFAULT_DPS) -> Schedule:
         lo, hi = (mp.mpf(0), -target), (mp.pi / 2, None)
         side = 0
         for _ in range(MAX_EVALS):
-            s = lambda_sequence(x, r, epsilon, n, dps=dps)
+            s = lambda_sequence(x, r, epsilon, n)
             full = len(s.lambdas) == n
             close = full and 0 < 1 - s.lambdas[-1] <= stop
             if close and s.feasible:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .channel import SequentialChannelStep, _channel_bloch
+from .channel import SequentialChannelStep, _channel_bloch, _disturbance
 # Imported so that the benchmark's tracer, which wraps names where callers
 # look them up, still finds ``seqrac.sequential.nonselective_step``.
 from .channel import nonselective_step  # noqa: F401
@@ -128,7 +128,7 @@ def propagate(
         if k < len(steps):
             step = steps[k]
             success = per_bob_success(exact, step.lam)
-            shrink1 *= 0.5 * (1.0 + math.sqrt(1.0 - step.lam * step.lam))
+            shrink1 *= 0.5 * (1.0 + _disturbance(step.lam)[0])
             vectors = [_channel_bloch(v, step) for v in vectors]
         entries.append(TraceEntry(exact, recursion, success))
     return SequentialTrace(tuple(entries))

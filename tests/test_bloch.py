@@ -85,6 +85,10 @@ class TestDensityOp:
         with pytest.raises(InvalidState):
             DensityOp.from_bloch((0.9, 0.6, 0.0))
 
+    def test_rejects_nan(self):
+        with pytest.raises(InvalidState):
+            DensityOp.from_bloch((math.nan, 0.0, 0.0))
+
     def test_boundary_pure_state_accepted(self):
         v = 1.0 / math.sqrt(3.0)
         rho = DensityOp.from_bloch((v, v, v))
@@ -96,6 +100,10 @@ class TestSharpObservable:
         b = SharpObservable.from_axis((3.0, 0.0, 4.0))
         assert np.linalg.norm(b.bloch) == pytest.approx(1.0, abs=1e-15)
         assert b.trace_part == 0.0
+
+    def test_rejects_nan_axis(self):
+        with pytest.raises(InvalidState):
+            SharpObservable.from_axis((math.nan, 0.0, 1.0))
 
     def test_square_is_identity(self):
         b = SharpObservable.from_axis((1.0, 2.0, -2.0))

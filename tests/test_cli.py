@@ -126,6 +126,11 @@ class TestPinnedBytes:
             (["sequence", "--omega", "0.3", "--r", "0.9", "--lambdas", "0.3,0.5,0.8,1.0"],
              "sequence.csv",
              "7e31ada5a9df5c9c1b7e25d2b17d279f7388a2f564d8ca68ad92565a692261dd"),
+            # near lam = 1, where the float sqrt(1 - lam^2) cancels
+            (["sequence", "--omega", "0.3", "--r", "0.9",
+              "--lambdas", "0.5,0.9999841142108734,0.9999841142108734"],
+             "sequence.csv",
+             "5ed62b5176fe5996a6f28956b260e060bf3c5805e2f20fad2a4b2d6294bae75f"),
         ],
     )
     def test_csv_digest(self, tmp_path, argv, name, digest):
@@ -350,23 +355,10 @@ class TestSimulateCommand:
         )
         assert f"error: {cfg}: not UTF-8" in capsys.readouterr().err
 
-    def test_malformed_thread_env_is_usage_error(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("count", ["0", "-3"], ids=lambda count: f"{count}-flag")
+    def test_nonpositive_thread_count_is_usage_error(self, tmp_path, count):
         cfg = self.write_config(tmp_path, shots="1000")
-        monkeypatch.setenv("SEQRAC_THREADS", "abc")
-        assert (
-            main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
-            == EXIT_USAGE
-        )
-
-    @pytest.mark.parametrize("source", ["flag", "env"])
-    @pytest.mark.parametrize("count", ["0", "-3"])
-    def test_nonpositive_thread_count_is_usage_error(self, tmp_path, monkeypatch, source, count):
-        cfg = self.write_config(tmp_path, shots="1000")
-        argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path)]
-        if source == "flag":
-            argv += ["--threads", count]
-        else:
-            monkeypatch.setenv("SEQRAC_THREADS", count)
+        argv = ["simulate", "--config", str(cfg), "--threads", count, "--out", str(tmp_path)]
         assert main(argv) == EXIT_USAGE
 
     def test_missing_file_is_usage_error(self, tmp_path):

@@ -1,5 +1,6 @@
 """Stochastic simulation: convergence, determinism, RNG sharding."""
 
+import json
 import math
 import threading
 import weakref
@@ -21,6 +22,7 @@ from seqrac import (
     selective_outcome,
     square_preparations,
 )
+from seqrac.cli import main
 from seqrac.montecarlo import RNG_ALGORITHM, SHARD_SIZE, _shard
 
 X = SharpObservable.from_axis((1.0, 0.0, 0.0))
@@ -127,7 +129,6 @@ class TestConvergence:
         analytic, _ = analytic_reference(cfg)
         for stats, want in zip(result.per_receiver, analytic):
             assert abs(stats.empirical_success - want) < 4.0 * stats.standard_error
-            assert stats.shots_counted == cfg.shots
 
     def test_mean_post_states_match_nonselective_channel(self):
         cfg = two_receiver_config()
@@ -167,11 +168,6 @@ class TestDeterminism:
             base = run(cfg, threads=1)
             assert run(cfg, threads=2) == base
             assert run(cfg, threads=8) == base
-
-    def test_env_var_controls_default_threads(self, monkeypatch):
-        cfg = two_receiver_config(shots=SHARD_SIZE + 5)
-        monkeypatch.setenv("SEQRAC_THREADS", "4")
-        assert run(cfg) == run(cfg, threads=1)
 
     @pytest.mark.parametrize("cpus, workers", [(8, 3), (2, 2)])
     def test_pool_bounded_by_shards_and_cpus(self, monkeypatch, cpus, workers):
@@ -233,9 +229,14 @@ class TestDeterminism:
         b = run(two_receiver_config(shots=50_000, seed=2))
         assert a.per_receiver != b.per_receiver
 
-    def test_rng_algorithm_recorded(self):
-        result = run(two_receiver_config(shots=1000))
-        assert result.rng_algorithm == RNG_ALGORITHM
+    def test_rng_algorithm_recorded(self, tmp_path):
+        # SimulationResult no longer echoes them; simulate.json records both
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("omega = 0.3\nlambdas = 0.5,0.8\nshots = 1000\nseed = 42\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        data = json.loads((tmp_path / "simulate.json").read_text())
+        assert data["rng_algorithm"] == RNG_ALGORITHM
+        assert [rec["shots_counted"] for rec in data["receivers"]] == [1000, 1000]
 
 
 class TestSharding:

@@ -16,7 +16,9 @@ config path appears in manifests and error messages.  The runs are every op of
 omega in {0.03125, 0.0315, 0.001, 0.3, 1e-9} for n in {1, 2, 3, 4, 5, 8, 12}
 (feasible and infeasible), ``schedule --omega auto`` for n in {1, 6, 7, 40,
 64, 100} at r in {0.3, 1} and epsilon in {1e-6, 0.01}, and four ``simulate``
-configs at 1 and 2 threads.
+configs at 1 and 2 threads.  Near lam = 1, where the float sqrt(1 - lam^2)
+cancels, ``sequence`` and a 1-thread ``simulate`` run at each lam in
+{0.9999841142108734, 1 - 2^-20, 1.0}.
 """
 
 import contextlib
@@ -67,6 +69,14 @@ def main() -> None:
         for c in configs
         for t in "12"
     ]
+    for lam in ("0.9999841142108734", repr(1 - 2**-20), "1.0"):
+        runs += [
+            (("sequence", "--omega", omega, "--r", r, "--lambdas", f"0.5,{lam},{lam}",
+              "--out", OUT), None)
+            for omega, r in (("0.3", "0.9"), ("0.001", "1"))
+        ]
+        config = f"omega = 0.3\nr = 0.9\nlambdas = 0.5,{lam},{lam}\nshots = 70000\nseed = 5\n"
+        runs.append((("simulate", "--config", CONFIG, "--threads", "1", "--out", OUT), config))
     for i, (argv, config) in enumerate(runs):
         shutil.rmtree(work, ignore_errors=True)
         out.mkdir(parents=True)
