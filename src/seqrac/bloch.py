@@ -39,11 +39,6 @@ class HermitianOp:
     def bloch_norm(self) -> float:
         return math.hypot(*self.bloch)
 
-    def eigenvalues(self) -> tuple[float, float]:
-        """Eigenvalues ``trace_part +- |bloch|``, largest first."""
-        b = self.bloch_norm
-        return (self.trace_part + b, self.trace_part - b)
-
     def __add__(self, other: "HermitianOp") -> "HermitianOp":
         return HermitianOp(
             self.trace_part + other.trace_part,

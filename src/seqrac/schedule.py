@@ -12,7 +12,7 @@ feasible schedules are strictly increasing with ``lam_{k+1} > 2 lam_k`` and
 give every receiver success strictly above 3/4.
 
 Everything here runs in arbitrary precision, and the recurrence only in
-interval arithmetic (``mp.iv``), so every feasibility decision is proved.
+interval arithmetic (``libmp`` endpoint pairs), so every decision is proved.
 The numerator above suffers catastrophic cancellation for small ``w`` (the
 interesting regime: the feasible opening angle shrinks doubly exponentially
 with N, far below double range already for ~12 receivers), so the recursion
@@ -34,6 +34,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import mpmath as mp
+from mpmath.libmp import from_int, mpf_shift, mpi_add, mpi_div, mpi_lt, mpi_mid, mpi_mul
+from mpmath.libmp import mpi_pow_int, mpi_sin, mpi_sqrt, mpi_sub
 
 from .errors import DomainError, SearchExhausted
 from .rac import DistinguishabilityPair
@@ -98,12 +100,12 @@ def _working_dps(n: int, dps: int) -> int:
 def lambda_sequence(omega, r, epsilon, n: int, dps: int = DEFAULT_DPS) -> Schedule:
     """Build the schedule for ``n`` receivers at opening angle ``omega``.
 
-    The recurrence runs in interval arithmetic (``mp.iv``) at
-    ``_working_dps(n, dps)`` digits, and each reported quantity is the
-    midpoint of its interval, so ``feasible`` is proved.  The schedule is
-    marked infeasible at the first receiver whose lam is not certainly in
-    (0, 1), an undecided comparison included, and truncated there (the
-    offending value is kept for reporting).
+    The recurrence runs in interval arithmetic on ``libmp`` endpoint pairs
+    at ``_working_dps(n, dps)`` digits, without the ``mp.iv`` context, and
+    each reported quantity is the midpoint of its interval, so ``feasible``
+    is proved.  The schedule is marked infeasible at the first receiver
+    whose lam is not certainly in (0, 1), an undecided comparison included,
+    and truncated there (the offending value is kept for reporting).
     """
     n = _check_n(n)
     with mp.workdps(_working_dps(n, dps)):
@@ -112,37 +114,35 @@ def lambda_sequence(omega, r, epsilon, n: int, dps: int = DEFAULT_DPS) -> Schedu
             raise DomainError(f"omega {omega} outside (0, pi/2)")
         _check_r_epsilon(r, epsilon)
 
-        iv = mp.iv
-        lambdas, m_products, deltas, successes, margins = [], [], [], [], []
-        first_failure = None
-        saved, iv.dps = iv.dps, mp.mp.dps
-        try:
-            w, eps = iv.mpf(omega), iv.mpf(epsilon)
-            rs = iv.mpf(r) * iv.sin(w)
-            w_cur = 2 * iv.sin(w / 2) ** 2  # 1 - cos(omega), stable
-            inflate = 1 + eps
-            m_cur = iv.mpf(1)
-            for k in range(1, n + 1):
-                delta1 = 1 - w_cur  # cos(w) M_k / 2^(k-1)
-                delta2 = iv.ldexp(rs, 1 - k)  # r sin(w) / 2^(k-1)
-                lam = inflate * w_cur / delta2
-                lam_k, m_k, delta1_k, delta2_k, margin = (
-                    mp.mpf(x.mid) for x in (lam, m_cur, delta1, delta2, eps * w_cur / 4)
-                )
-                lambdas.append(lam_k)
-                m_products.append(m_k)
-                deltas.append(DistinguishabilityPair(delta1_k, delta2_k))
-                successes.append(mp.mpf(1) / 2 + (delta1_k + lam_k * delta2_k) / 4)
-                margins.append(margin)  # == success - 3/4, exactly
-                if not 0 < lam < 1:  # an undecided comparison gives None
-                    first_failure = k
-                    break
-                lam_sq = lam * lam
-                v = lam_sq / (1 + iv.sqrt(1 - lam_sq))  # 1 - sqrt(1-lam^2)
-                w_cur = w_cur + delta1 * v / 2
-                m_cur = m_cur * (2 - v)
-        finally:
-            iv.dps = saved
+        prec = mp.mp.prec
+        zero, one, two, four = ((c, c) for c in map(from_int, (0, 1, 2, 4)))
+        w, eps = (omega._mpf_, omega._mpf_), (epsilon._mpf_, epsilon._mpf_)
+        rs = mpi_mul((r._mpf_, r._mpf_), mpi_sin(w, prec), prec)
+        # 1 - cos(omega) = 2 sin^2(omega/2), stable
+        w_cur = mpi_mul(two, mpi_pow_int(mpi_sin(mpi_div(w, two, prec), prec), 2, prec), prec)
+        inflate, m_cur = mpi_add(one, eps, prec), one
+        lambdas, m_products, deltas, successes, margins, first_failure = [], [], [], [], [], None
+        for k in range(1, n + 1):
+            delta1 = mpi_sub(one, w_cur, prec)  # cos(w) M_k / 2^(k-1)
+            delta2 = mpf_shift(rs[0], 1 - k), mpf_shift(rs[1], 1 - k)  # r sin(w) / 2^(k-1)
+            lam = mpi_div(mpi_mul(inflate, w_cur, prec), delta2, prec)
+            margin = mpi_div(mpi_mul(eps, w_cur, prec), four, prec)
+            lam_k, m_k, delta1_k, delta2_k, margin = (
+                mp.make_mpf(mpi_mid(x, prec)) for x in (lam, m_cur, delta1, delta2, margin)
+            )
+            lambdas.append(lam_k)
+            m_products.append(m_k)
+            deltas.append(DistinguishabilityPair(delta1_k, delta2_k))
+            successes.append(mp.mpf(1) / 2 + (delta1_k + lam_k * delta2_k) / 4)
+            margins.append(margin)  # == success - 3/4, exactly
+            if not (mpi_lt(zero, lam) and mpi_lt(lam, one)):  # undecided gives None
+                first_failure = k
+                break
+            lam_sq = mpi_mul(lam, lam, prec)
+            root = mpi_sqrt(mpi_sub(one, lam_sq, prec), prec)
+            v = mpi_div(lam_sq, mpi_add(one, root, prec), prec)  # 1 - sqrt(1-lam^2)
+            w_cur = mpi_add(w_cur, mpi_div(mpi_mul(delta1, v, prec), two, prec), prec)
+            m_cur = mpi_mul(m_cur, mpi_sub(two, v, prec), prec)
 
         return Schedule(
             omega=omega,

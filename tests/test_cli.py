@@ -138,12 +138,28 @@ class TestPinnedBytes:
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize(
-        "omega, json_digest, csv_digest, n, code",
+        "omega, json_digest, csv_digest, n_opts, code",
         [
             ("0.03125", "e27461cbd9f60b1dc9a260dc7029645c53a30dfe54848d6b5fc898b0817583f9",
              "bfe4546587d00484a453667ee984b0d4fcdc86d1e980476f0e661343d414e8ea", "4", EXIT_OK),
             ("auto", "67112561b8a393a357e4c2d8fda500fb40102d5de3a4667720ba2c267fcaeb0f",
              "0c6801240845dca5cbc153226a556d9d343efe44189b83b02e50b33616053b32", "5", EXIT_OK),
+            # the auto search: Illinois steps for n <= 7, the closed-form
+            # first point for n >= 8
+            ("auto", "98e73def1035da640c48bfd79a7402afe4d7c52c0ed96625b65dcd5674c5da13",
+             "5061af2ab9caa92b69b2eccbed8a17254993ec6c6ff7f717818d45dff58d19c4", "2", EXIT_OK),
+            ("auto", "f442c989a5ea530cfce15d5a3ea30ad96b88836abb9a1c4a7defce7472e7b1f0",
+             "324f5bed094c8ff7d2c7905190e31368c7098a198891c6be4065789527fbb228", "7", EXIT_OK),
+            ("auto", "f64cabc3ec976cbb5ad56d8d6b841406c762a14d88b3ccf92fc23801d6786610",
+             "ddaf8bdd2c18902c43e27b0871d6dcb08db4ade67d5d0f464144717bfb515fc6", "8", EXIT_OK),
+            ("auto", "3fd7d4ec04d2fb5ba721fd4059862bf329d6b727119d9bb8efb1e34aa52c6a6c",
+             "80b8a47fc91def9ac911fac3b5985839321bd3f4f24fdfbdd5ea932e0bc21577", "24", EXIT_OK),
+            ("auto", "2f5ed721323774a65480058e14309151b302d6b3a4a54657dd84b5bb64e02bfe",
+             "df72b458bf5681cd0205cb2faa155f0d3ce413c845ef6cb5bdca08714762116e",
+             "7 --r 0.7 --epsilon 1e-3", EXIT_OK),
+            ("auto", "1b8b6c5ce8d99613edcca471fb46df2b442c10817769f416c7ec4800f98d7228",
+             "1283676971ca7dc7a36c34063cc3143a3eb5f9bcd739b69455f2b8e123d6c858",
+             "24 --r 0.7 --epsilon 1e-3", EXIT_OK),
             # infeasible at receivers 4 and 6: decided by interval comparisons
             ("0.0315", "3e230a519b2baf13cc72bdf982c7d94a84c3418bdb111b358cdd9c83bb503383",
              "42d9fe17c11ae8bb2d14fc9c24045fd60749f064e412f9110c0ec7196371b600", "4",
@@ -153,8 +169,10 @@ class TestPinnedBytes:
              EXIT_INFEASIBLE),
         ],
     )
-    def test_schedule_digest(self, tmp_path, omega, json_digest, csv_digest, n, code):
-        assert main(["schedule", "--n", n, "--omega", omega, "--out", str(tmp_path)]) == code
+    def test_schedule_digest(self, tmp_path, omega, json_digest, csv_digest, n_opts, code):
+        # n_opts is the receiver count, then any further options
+        argv = ["schedule", "--n", *n_opts.split(), "--omega", omega, "--out", str(tmp_path)]
+        assert main(argv) == code
         for name, digest in (("schedule.json", json_digest), ("schedule.csv", csv_digest)):
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 

@@ -1,5 +1,6 @@
 """Schedule synthesis: recursion values, feasibility, angle search."""
 
+import dataclasses
 import math
 import random
 
@@ -8,7 +9,9 @@ import pytest
 
 import seqrac.schedule
 from seqrac import (
+    DistinguishabilityPair,
     DomainError,
+    Schedule,
     SequentialChannelStep,
     SharpObservable,
     feasibility_report,
@@ -17,7 +20,7 @@ from seqrac import (
     propagate,
     square_preparations,
 )
-from seqrac.schedule import DEFAULT_DPS
+from seqrac.schedule import DEFAULT_DPS, _working_dps
 
 X = SharpObservable.from_axis((1.0, 0.0, 0.0))
 Z = SharpObservable.from_axis((0.0, 0.0, 1.0))
@@ -191,8 +194,17 @@ class TestCertificate:
         s = lambda_sequence(w, 1.0, 1e-4, 12, dps=5)
         assert not s.feasible and s.first_failure == 12
 
-    def test_restores_interval_precision(self, monkeypatch):
+    def test_never_sets_interval_precision(self, monkeypatch):
+        # the recurrence runs on libmp endpoint pairs, so the process-wide
+        # mp.iv precision is never written, not even to be restored
         before = mp.iv.dps
+        ctx = type(mp.iv)
+
+        def refuse(_ctx, _value):
+            raise AssertionError("lambda_sequence set the mp.iv precision")
+
+        monkeypatch.setattr(ctx, "dps", property(ctx.dps.fget, refuse))
+        monkeypatch.setattr(ctx, "prec", property(ctx.prec.fget, refuse))
         lambda_sequence(0.03125, 1.0, 1e-4, 4, dps=200)
         assert mp.iv.dps == before
 
@@ -200,9 +212,103 @@ class TestCertificate:
             raise RuntimeError("inside the recurrence")
 
         monkeypatch.setattr(seqrac.schedule, "DistinguishabilityPair", broken)
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError, match="inside the recurrence"):
             lambda_sequence(0.03125, 1.0, 1e-4, 4, dps=200)
         assert mp.iv.dps == before
+
+    def test_ambient_interval_precision_is_ignored(self, monkeypatch):
+        want = lambda_sequence(0.03125, 1.0, 1e-4, 4)
+        monkeypatch.setattr(mp.iv, "dps", 5)
+        assert lambda_sequence(0.03125, 1.0, 1e-4, 4) == want
+
+
+def reference_lambda_sequence(omega, r, epsilon, n, dps=DEFAULT_DPS):
+    """The recurrence in operator-syntax ``mp.iv`` arithmetic, at the same
+    working precision and in the same operation order as
+    :func:`lambda_sequence`: the oracle that its ``libmp`` endpoint code must
+    equal bit for bit."""
+    with mp.workdps(_working_dps(n, dps)):
+        omega, r, epsilon = (mp.mpf(x) for x in (omega, r, epsilon))
+        iv = mp.iv
+        lambdas, m_products, deltas, successes, margins = [], [], [], [], []
+        first_failure = None
+        saved, iv.dps = iv.dps, mp.mp.dps
+        try:
+            w, eps = iv.mpf(omega), iv.mpf(epsilon)
+            rs = iv.mpf(r) * iv.sin(w)
+            w_cur = 2 * iv.sin(w / 2) ** 2  # 1 - cos(omega), stable
+            inflate = 1 + eps
+            m_cur = iv.mpf(1)
+            for k in range(1, n + 1):
+                delta1 = 1 - w_cur
+                delta2 = iv.ldexp(rs, 1 - k)
+                lam = inflate * w_cur / delta2
+                lam_k, m_k, delta1_k, delta2_k, margin = (
+                    mp.mpf(x.mid) for x in (lam, m_cur, delta1, delta2, eps * w_cur / 4)
+                )
+                lambdas.append(lam_k)
+                m_products.append(m_k)
+                deltas.append(DistinguishabilityPair(delta1_k, delta2_k))
+                successes.append(mp.mpf(1) / 2 + (delta1_k + lam_k * delta2_k) / 4)
+                margins.append(margin)
+                if not 0 < lam < 1:  # an undecided comparison gives None
+                    first_failure = k
+                    break
+                lam_sq = lam * lam
+                v = lam_sq / (1 + iv.sqrt(1 - lam_sq))
+                w_cur = w_cur + delta1 * v / 2
+                m_cur = m_cur * (2 - v)
+        finally:
+            iv.dps = saved
+        return Schedule(
+            omega, r, epsilon, n, tuple(lambdas), tuple(m_products), tuple(deltas),
+            tuple(successes), tuple(margins), first_failure is None, first_failure,
+        )
+
+
+def assert_same_schedule(got, want):
+    for field in dataclasses.fields(Schedule):
+        assert getattr(got, field.name) == getattr(want, field.name), field.name
+
+
+class TestReferenceOracle:
+    """``lambda_sequence`` equals the ``mp.iv`` recurrence field for field, so
+    a change in mpmath's ``libmp`` interval primitives shows here."""
+
+    @pytest.mark.parametrize(
+        "omega, n, dps",
+        [("0.03125", 4, DEFAULT_DPS), ("0.0315", 4, DEFAULT_DPS), ("1e-6", 8, DEFAULT_DPS)],
+    )
+    def test_named_points(self, omega, n, dps):
+        assert_same_schedule(
+            lambda_sequence(omega, 1.0, 1e-4, n, dps=dps),
+            reference_lambda_sequence(omega, 1.0, 1e-4, n, dps=dps),
+        )
+
+    def test_undecided_at_low_precision(self):
+        w = find_omega(12, 1.0, 1e-4).omega
+        got = lambda_sequence(w, 1.0, 1e-4, 12, dps=5)
+        assert got.first_failure == 12
+        assert_same_schedule(got, reference_lambda_sequence(w, 1.0, 1e-4, 12, dps=5))
+
+    @pytest.mark.parametrize("n", [8, 16, 24])
+    def test_closed_form_first_points(self, n):
+        # for n >= 8 find_omega's one evaluation is at its closed-form point
+        for r, eps in ((1.0, 1e-4), (0.7, 1e-3)):
+            s = find_omega(n, r, eps)
+            assert s.feasible
+            assert_same_schedule(s, reference_lambda_sequence(s.omega, r, eps, n))
+
+    def test_seeded_grid(self):
+        rng = random.Random(20261018)
+        outcomes = set()
+        for _ in range(30):
+            n, r, eps = rng.randint(1, 12), rng.uniform(0.3, 1.0), 10 ** rng.uniform(-6, -2)
+            omega = mp.mpf(10) ** rng.uniform(-40, -0.2)
+            got = lambda_sequence(omega, r, eps, n)
+            assert_same_schedule(got, reference_lambda_sequence(omega, r, eps, n))
+            outcomes.add(got.feasible)
+        assert outcomes == {True, False}
 
 
 def seeded_grid(n_max, seed, repeats=1):
