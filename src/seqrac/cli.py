@@ -159,11 +159,7 @@ def cmd_schedule(args) -> Output:
             print(f"infeasible: {exc}", file=sys.stderr)
             return EXIT_INFEASIBLE, {}, {}
     else:
-        try:
-            omega = mp.mpf(args.omega)
-        except ValueError as exc:
-            raise DomainError(f"bad omega {args.omega!r}") from exc
-        s = lambda_sequence(omega, args.r, args.epsilon, args.n)
+        s = lambda_sequence(args.omega, args.r, args.epsilon, args.n)
     payload = _schedule_payload(s)
     keys = ("k", "lambda", "m_product", "delta1", "delta2", "success", "success_margin_dec")
     rows = [[rec[key] for key in keys] for rec in payload["receivers"]]
@@ -174,7 +170,7 @@ def cmd_schedule(args) -> Output:
             rows,
         ),
     }
-    params = {"n": args.n, "r": args.r, "epsilon": args.epsilon, "omega": str(args.omega)}
+    params = {"n": args.n, "r": args.r, "epsilon": args.epsilon, "omega": args.omega}
     if not payload["feasible"]:
         print(f"infeasible at receiver {payload['first_failure']}", file=sys.stderr)
         return EXIT_INFEASIBLE, params, files
@@ -385,7 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=float, default=1.0)
     p.add_argument("--epsilon", type=float, default=1e-4)
-    p.add_argument("--omega", default="auto", help="opening angle or 'auto'")
+    p.add_argument("--omega", default="auto", help="'auto', or an opening angle read at the "
+                   "working precision, any number of digits (an auto run's omega_dec re-runs it)")
     p.add_argument("--out", default=".")
 
     p = add_parser("sequence", help="per-receiver trace for fixed lambdas")

@@ -100,6 +100,7 @@ def _working_dps(n: int, dps: int) -> int:
 def lambda_sequence(omega, r, epsilon, n: int, dps: int = DEFAULT_DPS) -> Schedule:
     """Build the schedule for ``n`` receivers at opening angle ``omega``.
 
+    A string ``omega`` is read at the working precision, not as a double.
     The recurrence runs in interval arithmetic on ``libmp`` endpoint pairs
     at ``_working_dps(n, dps)`` digits, without the ``mp.iv`` context, and
     each reported quantity is the midpoint of its interval, so ``feasible``
@@ -109,7 +110,11 @@ def lambda_sequence(omega, r, epsilon, n: int, dps: int = DEFAULT_DPS) -> Schedu
     """
     n = _check_n(n)
     with mp.workdps(_working_dps(n, dps)):
-        omega, r, epsilon = (mp.mpf(x) for x in (omega, r, epsilon))
+        try:
+            omega = mp.mpf(omega)
+        except ValueError as exc:
+            raise DomainError(f"bad omega {omega!r}") from exc
+        r, epsilon = mp.mpf(r), mp.mpf(epsilon)
         if not 0 < omega < mp.pi / 2:
             raise DomainError(f"omega {omega} outside (0, pi/2)")
         _check_r_epsilon(r, epsilon)

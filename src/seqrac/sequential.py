@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .channel import SequentialChannelStep, _channel_bloch, _disturbance
+from .channel import SequentialChannelStep, _channel_bloch, _check_lambda, _disturbance
 # Imported so that the benchmark's tracer, which wraps names where callers
 # look them up, still finds ``seqrac.sequential.nonselective_step``.
 from .channel import nonselective_step  # noqa: F401
@@ -52,9 +52,7 @@ class SequentialTrace:
 
 def per_bob_success(dp_k: DistinguishabilityPair, lambda_k: float) -> float:
     """Receiver success ``1/2 + (Delta1 + lam*Delta2)/4`` (sharp bit-1 axis)."""
-    if not 0.0 <= lambda_k <= 1.0:
-        raise DomainError(f"unsharpness {lambda_k} outside [0, 1]")
-    return 0.5 + 0.25 * (dp_k.delta1 + lambda_k * dp_k.delta2)
+    return 0.5 + 0.25 * (dp_k.delta1 + _check_lambda(lambda_k) * dp_k.delta2)
 
 
 def _check_axes(steps) -> None:

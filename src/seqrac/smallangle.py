@@ -95,15 +95,15 @@ def small_angle_poly(k: int) -> RationalPolynomial:
     return RationalPolynomial(tuple(Fraction(q, den) for q in _scaled_table(k)))
 
 
-def odd_power_expansion(k: int) -> tuple[Fraction, ...]:
-    """Coefficients of ``c_k`` on the odd powers ``c1^1, c1^3, ...``.
+def odd_power_expansion(k: int) -> tuple[int, ...]:
+    """Integer coefficients of ``c_k`` on the odd powers ``c1^1, c1^3, ...``.
 
     These are ``2^(k-1)`` times the P_k coefficients; every even power of
     ``c1`` has coefficient zero exactly.
     """
     p = small_angle_poly(k)
     # Every denominator of P_k divides 2^(k-1), so the division is exact
-    return tuple(Fraction((a.numerator << (k - 1)) // a.denominator) for a in p.coefficients)
+    return tuple((a.numerator << (k - 1)) // a.denominator for a in p.coefficients)
 
 
 def _float_if_normal(value):

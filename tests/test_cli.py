@@ -161,11 +161,12 @@ class TestPinnedBytes:
              "1283676971ca7dc7a36c34063cc3143a3eb5f9bcd739b69455f2b8e123d6c858",
              "24 --r 0.7 --epsilon 1e-3", EXIT_OK),
             # infeasible at receivers 4 and 6: decided by interval comparisons
-            ("0.0315", "3e230a519b2baf13cc72bdf982c7d94a84c3418bdb111b358cdd9c83bb503383",
-             "42d9fe17c11ae8bb2d14fc9c24045fd60749f064e412f9110c0ec7196371b600", "4",
+            # at the decimal angle itself, not at its nearest double
+            ("0.0315", "1e9bd7dc89ad36867a4739534aad270e4816af467600bb37137102f83b1ca863",
+             "647a01dd9a176447cf30066d205b276a7725d341fbbbc4e34988663f67249b89", "4",
              EXIT_INFEASIBLE),
-            ("1e-6", "50ecf77c376e7455951030c8780a6e1cb17267edb868d0b991bbf5d51bc449f2",
-             "186173d0db9d01e4fd0403d2f6dda175fd0b6a8056ac9478c8f6433e569fbd8b", "8",
+            ("1e-6", "a9bdd847570da7ffc1cf7a1d83b73db8af3d5b9a7c186996493561ab59a45ce1",
+             "61b8707bbeea683df16f32c37fbf06256dbeff24c2b64373bc4037cdadf56e73", "8",
              EXIT_INFEASIBLE),
         ],
     )
@@ -283,6 +284,28 @@ class TestScheduleCommand:
         argv = ["schedule", "--n", "3", "--out", str(tmp_path)]
         assert main(argv) == EXIT_INFEASIBLE
         assert "no certified omega" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "n, r, eps", [(2, "0.7", "1e-3"), (6, "0.7", "1e-3"), (13, "1", "1e-4"), (24, "0.3", "1e-6")]
+    )
+    def test_printed_omega_reruns_as_certified(self, tmp_path, n, r, eps):
+        # read as the nearest double, n = 6 gave lam_6 = 1.0000000000000000131
+        argv = ["schedule", "--n", str(n), "--r", r, "--epsilon", eps, "--out", str(tmp_path)]
+        assert main([*argv, "--omega", "auto"]) == EXIT_OK
+        auto = json.loads((tmp_path / "schedule.json").read_text())
+        assert main([*argv, "--omega", auto["omega_dec"]]) == EXIT_OK
+        again = json.loads((tmp_path / "schedule.json").read_text())
+        assert again["feasible"] and again["omega_dec"] == auto["omega_dec"]
+
+    @pytest.mark.parametrize("omega", ["0.0315", "1e-6", "0.1"])
+    def test_numeric_omega_is_the_decimal(self, tmp_path, omega):
+        main(["schedule", "--n", "8", "--omega", omega, "--out", str(tmp_path)])
+        data = json.loads((tmp_path / "schedule.json").read_text())
+        with mp.workdps(DEFAULT_DPS):
+            assert mp.mpf(data["omega_dec"]) == mp.mpf(omega)
+        assert data == json.loads(
+            seqrac.cli._json(seqrac.cli._schedule_payload(lambda_sequence(omega, 1, 1e-4, 8)))
+        )
 
     def test_json_round_trip_is_canonical(self, tmp_path):
         main(["schedule", "--n", "3", "--omega", "0.001", "--out", str(tmp_path)])
@@ -453,11 +476,13 @@ class TestExitCodes:
             == EXIT_USAGE
         )
 
-    def test_malformed_omega_is_usage(self, tmp_path):
+    def test_malformed_omega_is_usage(self, tmp_path, capsys):
         assert (
             main(["schedule", "--n", "3", "--omega", "xyz", "--out", str(tmp_path)])
             == EXIT_USAGE
         )
+        assert capsys.readouterr().err == "error: bad omega 'xyz'\n"
+        assert not any(tmp_path.iterdir())
 
     def test_negative_r_with_auto_omega_is_usage(self, tmp_path, capsys):
         argv = ["schedule", "--n", "3", "--r", "-1", "--omega", "auto", "--out", str(tmp_path)]

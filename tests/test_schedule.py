@@ -96,6 +96,11 @@ class TestLambdaSequence:
         with pytest.raises(DomainError):
             lambda_sequence(0.3, 1.0, 1e-4, 0)
 
+    @pytest.mark.parametrize("omega", ["xyz", "", "0.1.2"])
+    def test_malformed_omega_string(self, omega):
+        with pytest.raises(DomainError, match=f"bad omega {omega!r}"):
+            lambda_sequence(omega, 1, 1e-4, 3)
+
 
 class TestFindOmega:
     def test_quartic_boundary_location(self):

@@ -89,6 +89,12 @@ class TestOddPowerExpansion:
             F(8), F(84), F(336), F(660), F(704), F(416), F(128), F(16),
         )
 
+    @pytest.mark.parametrize("k", [1, 5, 10])
+    def test_plain_ints_scaling_the_poly(self, k):
+        expansion = odd_power_expansion(k)
+        assert {type(b) for b in expansion} == {int}
+        assert [F(b, 2 ** (k - 1)) for b in expansion] == list(small_angle_poly(k).coefficients)
+
     def test_leading_coefficient_consistent_with_expansion(self):
         c1 = 0.37
         val = sum(float(b) * c1 ** (2 * n + 1) for n, b in enumerate(odd_power_expansion(4)))

@@ -18,7 +18,9 @@ omega in {0.03125, 0.0315, 0.001, 0.3, 1e-9} for n in {1, 2, 3, 4, 5, 8, 12}
 64, 100} at r in {0.3, 1} and epsilon in {1e-6, 0.01}, and four ``simulate``
 configs at 1 and 2 threads.  Near lam = 1, where the float sqrt(1 - lam^2)
 cancels, ``sequence`` and a 1-thread ``simulate`` run at each lam in
-{0.9999841142108734, 1 - 2^-20, 1.0}.
+{0.9999841142108734, 1 - 2^-20, 1.0}.  Last, ``schedule --omega <omega_dec>``
+re-runs the auto run for n in {6, 13, 24} at (r, epsilon) = (0.3, 1e-6) and
+(1, 0.01) from its printed angle.
 """
 
 import contextlib
@@ -28,6 +30,17 @@ import json
 import shutil
 import sys
 from pathlib import Path
+
+# (n, r, epsilon, omega_dec) of ``schedule --omega auto`` runs: given back as
+# --omega, each must reproduce its omega_dec and its feasibility.
+ROUND_TRIP = (
+    ("6", "0.3", "1e-6", "1.49137286581614331538860074086e-26"),
+    ("6", "1", "0.01", "0.00000000608014011306191653932451637154"),
+    ("13", "0.3", "1e-6", "5.84178114322387735476835370419e-3562"),
+    ("13", "1", "0.01", "5.56272299269232939890968862929e-1242"),
+    ("24", "0.3", "1e-6", "2.29918786489600610412169183022e-7301868"),
+    ("24", "1", "0.01", "2.05744828901783345671466149308e-2549490"),
+)
 
 
 def sha(data: bytes) -> str:
@@ -77,6 +90,10 @@ def main() -> None:
         ]
         config = f"omega = 0.3\nr = 0.9\nlambdas = 0.5,{lam},{lam}\nshots = 70000\nseed = 5\n"
         runs.append((("simulate", "--config", CONFIG, "--threads", "1", "--out", OUT), config))
+    runs += [
+        (("schedule", "--n", n, "--r", r, "--epsilon", eps, "--omega", omega, "--out", OUT), None)
+        for n, r, eps, omega in ROUND_TRIP
+    ]
     for i, (argv, config) in enumerate(runs):
         shutil.rmtree(work, ignore_errors=True)
         out.mkdir(parents=True)
