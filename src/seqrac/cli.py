@@ -235,6 +235,9 @@ def _parse_config(path: Path) -> dict:
 def cmd_simulate(args) -> Output:
     cfg_path = Path(args.config)
     raw = _parse_config(cfg_path)
+    for key in raw:  # a misspelt key would otherwise run at its default
+        if key not in ("omega", "r", "lambdas", "shots", "seed"):
+            raise DomainError(f"{cfg_path}: unknown config key {key!r}")
     try:
         omega = float(raw["omega"])
         r = float(raw.get("r", "1.0"))
@@ -379,8 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("schedule", help="synthesize an unsharpness schedule")
     p.set_defaults(handler=cmd_schedule)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=float, default=1.0)
-    p.add_argument("--epsilon", type=float, default=1e-4)
+    p.add_argument("--r", type=float, default=1.0, help="read as a double: the schedule is "
+                   "certified for the double nearest the decimal given")
+    p.add_argument("--epsilon", type=float, default=1e-4, help="read as a double, like --r")
     p.add_argument("--omega", default="auto", help="'auto', or an opening angle read at the "
                    "working precision, any number of digits (an auto run's omega_dec re-runs it)")
     p.add_argument("--out", default=".")
@@ -395,7 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("simulate", help="Monte Carlo run from a config file")
     p.set_defaults(handler=cmd_simulate)
     p.add_argument("--config", required=True)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted (an integer >= 1) but has no effect: shards run serially")
     p.add_argument("--out", default=".")
 
     p = add_parser("poly", help="exact small-angle polynomial table")

@@ -186,7 +186,7 @@ class TestPinnedBytes:
         argv = ["simulate", "--config", str(cfg), "--threads", threads, "--out", str(tmp_path)]
         assert main(argv) == EXIT_OK
         assert hashlib.sha256((tmp_path / "simulate.csv").read_bytes()).hexdigest() == (
-            "b0e80d2832d339c00a4ac7197c5ef49d03d5815d3996f3829dab47b09f8d1111"
+            "f4228dd534cb1d1a35f84bb8ab8d052264ef370acbdae09028d9fb83e419a3b9"
         )
 
 
@@ -386,6 +386,15 @@ class TestSimulateCommand:
             main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
             == EXIT_USAGE
         )
+
+    @pytest.mark.parametrize("key, value", [("R", "0.5"), ("config", "elsewhere.cfg")])
+    def test_unknown_key_is_usage_error(self, tmp_path, capsys, key, value):
+        # R = 0.5 used to run silently at r = 1.0, and a config key overwrote
+        # the config path in the manifest's params
+        cfg = self.write_config(tmp_path, **{key: value})
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
+        assert f"error: {cfg}: unknown config key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "simulate.json").exists()
 
     def test_non_utf8_config_is_usage_error(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path)

@@ -16,11 +16,14 @@ config path appears in manifests and error messages.  The runs are every op of
 omega in {0.03125, 0.0315, 0.001, 0.3, 1e-9} for n in {1, 2, 3, 4, 5, 8, 12}
 (feasible and infeasible), ``schedule --omega auto`` for n in {1, 6, 7, 40,
 64, 100} at r in {0.3, 1} and epsilon in {1e-6, 0.01}, and four ``simulate``
-configs at 1 and 2 threads.  Near lam = 1, where the float sqrt(1 - lam^2)
-cancels, ``sequence`` and a 1-thread ``simulate`` run at each lam in
-{0.9999841142108734, 1 - 2^-20, 1.0}.  Last, ``schedule --omega <omega_dec>``
+configs, each at ``--threads`` 1 and 2 (the thread count has no effect, so
+each pair must match).  Near lam = 1, where the float sqrt(1 - lam^2)
+cancels, ``sequence`` and a ``simulate`` run at each lam in
+{0.9999841142108734, 1 - 2^-20, 1.0}.  Then ``schedule --omega <omega_dec>``
 re-runs the auto run for n in {6, 13, 24} at (r, epsilon) = (0.3, 1e-6) and
-(1, 0.01) from its printed angle.
+(1, 0.01) from its printed angle.  Last, two ``simulate`` runs: 16 receivers
+over four shards, and lambdas 0.5, 1, 1 on pure states (r = 1), where the
+last receiver meets unsharp branches of probability 0.
 """
 
 import contextlib
@@ -94,6 +97,12 @@ def main() -> None:
         (("schedule", "--n", n, "--r", r, "--epsilon", eps, "--omega", omega, "--out", OUT), None)
         for n, r, eps, omega in ROUND_TRIP
     ]
+    lams16 = ",".join(f"{0.05 * k:.2f}" for k in range(1, 17))
+    for config in (
+        f"omega = 0.2\nr = 0.95\nlambdas = {lams16}\nshots = 200000\nseed = 16\n",
+        "omega = 0.3\nr = 1\nlambdas = 0.5,1.0,1.0\nshots = 70000\nseed = 9\n",
+    ):
+        runs.append((("simulate", "--config", CONFIG, "--out", OUT), config))
     for i, (argv, config) in enumerate(runs):
         shutil.rmtree(work, ignore_errors=True)
         out.mkdir(parents=True)
