@@ -12,7 +12,8 @@ feasible schedules are strictly increasing with ``lam_{k+1} > 2 lam_k`` and
 give every receiver success strictly above 3/4.
 
 Everything here runs in arbitrary precision, and the recurrence only in
-interval arithmetic (``libmp`` endpoint pairs), so every decision is proved.
+interval arithmetic on int ``(mantissa, exponent)`` endpoints rounded outward to
+``mp.prec`` bits, bit-identical to libmp's and ``mp.iv``'s: every decision is proved.
 The numerator above suffers catastrophic cancellation for small ``w`` (the
 interesting regime: the feasible opening angle shrinks doubly exponentially
 with N, far below double range already for ~12 receivers), so the recursion
@@ -34,8 +35,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import mpmath as mp
-from mpmath.libmp import from_int, mpf_shift, mpi_add, mpi_div, mpi_lt, mpi_mid, mpi_mul
-from mpmath.libmp import mpi_pow_int, mpi_sin, mpi_sqrt, mpi_sub
+from mpmath.libmp import from_int, from_man_exp, mpf_add, mpf_div, mpf_mul, mpi_div, mpi_mul
+from mpmath.libmp import mpi_pow_int, mpi_sin, round_nearest
 
 from .errors import DomainError, SearchExhausted
 from .rac import DistinguishabilityPair
@@ -97,12 +98,71 @@ def _working_dps(n: int, dps: int) -> int:
     return dps + math.ceil(n * math.log10(2)) + GUARD_DIGITS
 
 
+def _round(m: int, e: int, prec: int, up) -> tuple:
+    """``m * 2^e``, ``m`` of any sign, to ``prec`` bits: up or down for ``up`` True or False
+    (error < 1 ulp), to nearest even for None (error <= 1/2 ulp).  Up may carry to prec + 1 bits."""
+    drop = m.bit_length() - prec
+    if drop <= 0:
+        return m, e
+    if up is None:  # add half an ulp, less one unless the kept part is odd; any sign
+        return (m + (1 << drop - 1) - 1 + ((m >> drop) & 1)) >> drop, e + drop
+    return (-(-m >> drop) if up else m >> drop), e + drop
+
+
+def _add(a: tuple, b: tuple, prec: int, up) -> tuple:
+    """``a + b`` for operands of ``prec`` bits, rounded as by :func:`_round`.  As in
+    ``mpf_add``, one whose top bit lies over ``prec + 4`` bits below the other's is a sticky bit."""
+    (am, ae), (bm, be) = a, b
+    if not (am and bm):
+        return _round(am or bm, ae if am else be, prec, up)
+    gap = ae + am.bit_length() - be - bm.bit_length()
+    if gap > prec + 4:
+        am, ae, bm, be = am << prec + 4, ae - prec - 4, (bm > 0) - (bm < 0), ae - prec - 4
+    elif gap < -prec - 4:
+        am, ae, bm, be = (am > 0) - (am < 0), be - prec - 4, bm << prec + 4, be - prec - 4
+    e = min(ae, be)
+    return _round((am << ae - e) + (bm << be - e), e, prec, up)
+
+
+def _sub(a: tuple, b: tuple, prec: int, up) -> tuple:
+    """``a - b`` rounded as by :func:`_add`; it may be zero or negative."""
+    return _add(a, (-b[0], b[1]), prec, up)
+
+
+def _mul(a: tuple, b: tuple, prec: int, up) -> tuple:
+    """``a * b`` rounded as by :func:`_round`, from the exact product."""
+    return _round(a[0] * b[0], a[1] + b[1], prec, up)
+
+
+def _div(a: tuple, b: tuple, prec: int, up) -> tuple:
+    """``a / b`` for ``a >= 0 < b``, rounded as by :func:`_round` (sticky last bit)."""
+    shift = prec + 2 - a[0].bit_length() + b[0].bit_length()
+    q, rem = divmod(a[0] << shift, b[0])
+    return _round(q | (rem > 0), a[1] - b[1] - shift, prec, up)
+
+
+def _sqrt(a: tuple, prec: int, up) -> tuple:
+    """``sqrt(a)`` for ``a >= 0``, rounded as by :func:`_round` (sticky last bit)."""
+    shift = 2 * prec + 2 - a[0].bit_length() + (a[1] + a[0].bit_length() & 1)  # a[1] - shift even
+    root = math.isqrt(a[0] << shift)
+    return _round(root | (root * root != a[0] << shift), (a[1] - shift) >> 1, prec, up)
+
+
+def _mid(a: tuple, b: tuple, prec: int) -> tuple:
+    """``mpi_mid`` of [a, b] as a raw mpf: ``a + b`` rounded to nearest even, halved."""
+    m, e = _add(a, b, prec, None)
+    if m <= 0:
+        return from_man_exp(m, e - 1)
+    zeros = (m & -m).bit_length() - 1  # stripped, as the canonical form has an odd mantissa
+    return 0, m >> zeros, e + zeros - 1, m.bit_length() - zeros
+
+
 def lambda_sequence(omega, r, epsilon, n: int, dps: int = DEFAULT_DPS) -> Schedule:
     """Build the schedule for ``n`` receivers at opening angle ``omega``.
 
     A string ``omega`` is read at the working precision, not as a double.
-    The recurrence runs in interval arithmetic on ``libmp`` endpoint pairs
-    at ``_working_dps(n, dps)`` digits, without the ``mp.iv`` context, and
+    The recurrence runs in interval arithmetic on int endpoint pairs at
+    ``_working_dps(n, dps)`` digits, without the ``mp.iv`` context, and
     each reported quantity is the midpoint of its interval, so ``feasible``
     is proved.  The schedule is marked infeasible at the first receiver
     whose lam is not certainly in (0, 1), an undecided comparison included,
@@ -118,50 +178,50 @@ def lambda_sequence(omega, r, epsilon, n: int, dps: int = DEFAULT_DPS) -> Schedu
         if not 0 < omega < mp.pi / 2:
             raise DomainError(f"omega {omega} outside (0, pi/2)")
         _check_r_epsilon(r, epsilon)
-
-        prec = mp.mp.prec
-        zero, one, two, four = ((c, c) for c in map(from_int, (0, 1, 2, 4)))
-        w, eps = (omega._mpf_, omega._mpf_), (epsilon._mpf_, epsilon._mpf_)
+        prec, rn = mp.mp.prec, round_nearest
+        w, two, four = (omega._mpf_, omega._mpf_), (from_int(2), from_int(2)), from_int(4)
         rs = mpi_mul((r._mpf_, r._mpf_), mpi_sin(w, prec), prec)
         # 1 - cos(omega) = 2 sin^2(omega/2), stable
         w_cur = mpi_mul(two, mpi_pow_int(mpi_sin(mpi_div(w, two, prec), prec), 2, prec), prec)
-        inflate, m_cur = mpi_add(one, eps, prec), one
+        # From here each end is a (mantissa, exponent) int pair: *_lo rounds down, *_hi up
+        (rs_lo, rs_hi), (w_lo, w_hi) = ([(x[1], x[2]) for x in iv] for iv in (rs, w_cur))
+        one, eps, half, m_lo, m_hi = (1, 0), epsilon._mpf_[1:3], from_man_exp(1, -1), (1, 0), (1, 0)
+        inf_lo, inf_hi = _add(one, eps, prec, False), _add(one, eps, prec, True)
+        eps4 = (eps[0], eps[1] - 2)
         lambdas, m_products, deltas, successes, margins, first_failure = [], [], [], [], [], None
         for k in range(1, n + 1):
-            delta1 = mpi_sub(one, w_cur, prec)  # cos(w) M_k / 2^(k-1)
-            delta2 = mpf_shift(rs[0], 1 - k), mpf_shift(rs[1], 1 - k)  # r sin(w) / 2^(k-1)
-            lam = mpi_div(mpi_mul(inflate, w_cur, prec), delta2, prec)
-            margin = mpi_div(mpi_mul(eps, w_cur, prec), four, prec)
-            lam_k, m_k, delta1_k, delta2_k, margin = (
-                mp.make_mpf(mpi_mid(x, prec)) for x in (lam, m_cur, delta1, delta2, margin)
-            )
+            # cos(w) M_k / 2^(k-1) and r sin(w) / 2^(k-1)
+            d1_lo, d1_hi = _sub(one, w_hi, prec, False), _sub(one, w_lo, prec, True)
+            d2_lo, d2_hi = (rs_lo[0], rs_lo[1] + 1 - k), (rs_hi[0], rs_hi[1] + 1 - k)
+            lam_lo = _div(_mul(inf_lo, w_lo, prec, False), d2_hi, prec, False)
+            lam_hi = _div(_mul(inf_hi, w_hi, prec, True), d2_lo, prec, True)
+            lam_k, delta1_k, delta2_k = (mp.make_mpf(_mid(lo, hi, prec)) for lo, hi in (
+                (lam_lo, lam_hi), (d1_lo, d1_hi), (d2_lo, d2_hi)))
             lambdas.append(lam_k)
-            m_products.append(m_k)
+            m_products.append(mp.make_mpf(_mid(m_lo, m_hi, prec)))
             deltas.append(DistinguishabilityPair(delta1_k, delta2_k))
-            successes.append(mp.mpf(1) / 2 + (delta1_k + lam_k * delta2_k) / 4)
-            margins.append(margin)  # == success - 3/4, exactly
-            if not (mpi_lt(zero, lam) and mpi_lt(lam, one)):  # undecided gives None
+            # 1/2 + (delta1 + lam delta2)/4
+            p = mpf_add(delta1_k._mpf_, mpf_mul(lam_k._mpf_, delta2_k._mpf_, prec, rn), prec, rn)
+            successes.append(mp.make_mpf(mpf_add(half, mpf_div(p, four, prec, rn), prec, rn)))
+            mg_lo, mg_hi = _mul(eps4, w_lo, prec, False), _mul(eps4, w_hi, prec, True)
+            margins.append(mp.make_mpf(_mid(mg_lo, mg_hi, prec)))  # eps W_k / 4 == success - 3/4
+            # lam_k must lie certainly in (0, 1); an undecided comparison fails
+            if not (lam_lo[0] > 0 and lam_hi[0].bit_length() + lam_hi[1] <= 0):
                 first_failure = k
                 break
-            lam_sq = mpi_mul(lam, lam, prec)
-            root = mpi_sqrt(mpi_sub(one, lam_sq, prec), prec)
-            v = mpi_div(lam_sq, mpi_add(one, root, prec), prec)  # 1 - sqrt(1-lam^2)
-            w_cur = mpi_add(w_cur, mpi_div(mpi_mul(delta1, v, prec), two, prec), prec)
-            m_cur = mpi_mul(m_cur, mpi_sub(two, v, prec), prec)
+            # v = lam^2 / (1 + sqrt(1 - lam^2)) = 1 - sqrt(1 - lam^2)
+            sq_lo, sq_hi = _mul(lam_lo, lam_lo, prec, False), _mul(lam_hi, lam_hi, prec, True)
+            den_lo = _add(one, _sqrt(_sub(one, sq_hi, prec, False), prec, False), prec, False)
+            den_hi = _add(one, _sqrt(_sub(one, sq_lo, prec, True), prec, True), prec, True)
+            v_lo, v_hi = _div(sq_lo, den_hi, prec, False), _div(sq_hi, den_lo, prec, True)
+            # W_{k+1} = W_k + delta1 v / 2 and M_{k+1} = M_k (2 - v)
+            w_lo = _add(w_lo, _mul(d1_lo, (v_lo[0], v_lo[1] - 1), prec, False), prec, False)
+            w_hi = _add(w_hi, _mul(d1_hi, (v_hi[0], v_hi[1] - 1), prec, True), prec, True)
+            m_lo = _mul(m_lo, _sub((1, 1), v_hi, prec, False), prec, False)
+            m_hi = _mul(m_hi, _sub((1, 1), v_lo, prec, True), prec, True)
 
-        return Schedule(
-            omega=omega,
-            r=r,
-            epsilon=epsilon,
-            n=n,
-            lambdas=tuple(lambdas),
-            m_products=tuple(m_products),
-            deltas=tuple(deltas),
-            successes=tuple(successes),
-            success_margins=tuple(margins),
-            feasible=first_failure is None,
-            first_failure=first_failure,
-        )
+        return Schedule(omega, r, epsilon, n, tuple(lambdas), tuple(m_products), tuple(deltas),
+                        tuple(successes), tuple(margins), first_failure is None, first_failure)
 
 
 def feasibility_report(s: Schedule) -> tuple[bool, bool, Optional[int]]:

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
+from mpmath.libmp import fone, mpf_add, mpf_mul, mpf_shift, round_nearest
 
 from .errors import DomainError
 
@@ -132,11 +133,15 @@ def leading_coefficient_numeric(k: int, c1) -> mp.mpf:
     c1 = mp.mpf(c1)
     if c1 <= 0:
         raise DomainError("c1 must be positive")
-    x = c1 * c1
-    p = mp.mpf(1)  # P_1
+    # raw libmp calls at mp.prec, rounded to nearest, in the operation order of
+    # p = p + 2^(2j-5) * x * p * p, with the powers of two exact shifts
+    prec, rn = mp.mp.prec, round_nearest
+    x = mpf_mul(c1._mpf_, c1._mpf_, prec, rn)
+    p = fone  # P_1
     for j in range(2, k + 1):
-        p = p + mp.mpf(2) ** (2 * j - 5) * x * p * p
-    return 2 ** (k - 1) * c1 * p
+        t = mpf_mul(mpf_mul(mpf_shift(x, 2 * j - 5), p, prec, rn), p, prec, rn)
+        p = mpf_add(p, t, prec, rn)
+    return mp.make_mpf(mpf_mul(mpf_shift(c1._mpf_, k - 1), p, prec, rn))
 
 
 def omega_estimate(k: int, r: float, epsilon: float):

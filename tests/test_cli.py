@@ -160,6 +160,9 @@ class TestPinnedBytes:
             ("auto", "1b8b6c5ce8d99613edcca471fb46df2b442c10817769f416c7ec4800f98d7228",
              "1283676971ca7dc7a36c34063cc3143a3eb5f9bcd739b69455f2b8e123d6c858",
              "24 --r 0.7 --epsilon 1e-3", EXIT_OK),
+            # most receivers subtract operands over prec + 4 bits apart here
+            ("auto", "e674a43d081be76237877c35a68d4c93fd665819c63f70c3e8efa610c08b06dc",
+             "1863d0482b32023c14220bcfcc0ef039faf54a10b012d5c79d74db25d315c35c", "250", EXIT_OK),
             # infeasible at receivers 4 and 6: decided by interval comparisons
             # at the decimal angle itself, not at its nearest double
             ("0.0315", "1e9bd7dc89ad36867a4739534aad270e4816af467600bb37137102f83b1ca863",

@@ -6,6 +6,12 @@ import random
 
 import mpmath as mp
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from mpmath.libmp import (
+    from_man_exp, mpf_add, mpf_div, mpf_mul, mpf_sqrt, mpf_sub, mpi_mid, round_ceiling,
+    round_floor,
+)
 
 import seqrac.schedule
 from seqrac import (
@@ -20,7 +26,7 @@ from seqrac import (
     propagate,
     square_preparations,
 )
-from seqrac.schedule import DEFAULT_DPS, _working_dps
+from seqrac.schedule import DEFAULT_DPS, _add, _div, _mid, _mul, _sqrt, _sub, _working_dps
 
 X = SharpObservable.from_axis((1.0, 0.0, 0.0))
 Z = SharpObservable.from_axis((0.0, 0.0, 1.0))
@@ -200,7 +206,7 @@ class TestCertificate:
         assert not s.feasible and s.first_failure == 12
 
     def test_never_sets_interval_precision(self, monkeypatch):
-        # the recurrence runs on libmp endpoint pairs, so the process-wide
+        # the recurrence runs on int endpoint pairs, so the process-wide
         # mp.iv precision is never written, not even to be restored
         before = mp.iv.dps
         ctx = type(mp.iv)
@@ -230,7 +236,7 @@ class TestCertificate:
 def reference_lambda_sequence(omega, r, epsilon, n, dps=DEFAULT_DPS):
     """The recurrence in operator-syntax ``mp.iv`` arithmetic, at the same
     working precision and in the same operation order as
-    :func:`lambda_sequence`: the oracle that its ``libmp`` endpoint code must
+    :func:`lambda_sequence`: the oracle that its int endpoint code must
     equal bit for bit."""
     with mp.workdps(_working_dps(n, dps)):
         omega, r, epsilon = (mp.mpf(x) for x in (omega, r, epsilon))
@@ -278,7 +284,8 @@ def assert_same_schedule(got, want):
 
 class TestReferenceOracle:
     """``lambda_sequence`` equals the ``mp.iv`` recurrence field for field, so
-    a change in mpmath's ``libmp`` interval primitives shows here."""
+    a change in its int endpoint primitives or in mpmath's interval
+    primitives shows here."""
 
     @pytest.mark.parametrize(
         "omega, n, dps",
@@ -296,7 +303,7 @@ class TestReferenceOracle:
         assert got.first_failure == 12
         assert_same_schedule(got, reference_lambda_sequence(w, 1.0, 1e-4, 12, dps=5))
 
-    @pytest.mark.parametrize("n", [8, 16, 24])
+    @pytest.mark.parametrize("n", [8, 16, 24, 64])
     def test_closed_form_first_points(self, n):
         # for n >= 8 find_omega's one evaluation is at its closed-form point
         for r, eps in ((1.0, 1e-4), (0.7, 1e-3)):
@@ -304,16 +311,77 @@ class TestReferenceOracle:
             assert s.feasible
             assert_same_schedule(s, reference_lambda_sequence(s.omega, r, eps, n))
 
-    def test_seeded_grid(self):
+    @pytest.mark.parametrize(
+        "n_max, spread",
+        [pytest.param(12, None, id="n1-12"), pytest.param(40, None, id="n1-40"),
+         pytest.param(40, "1e-20", id="boundary-1e-20")],
+    )
+    def test_seeded_grid(self, n_max, spread):
+        # with a spread, omega is find_omega's angle times 1 +- spread: just
+        # above it lam_n passes 1, just below it is proved feasible
         rng = random.Random(20261018)
         outcomes = set()
         for _ in range(30):
-            n, r, eps = rng.randint(1, 12), rng.uniform(0.3, 1.0), 10 ** rng.uniform(-6, -2)
+            n, r, eps = rng.randint(1, n_max), rng.uniform(0.3, 1.0), 10 ** rng.uniform(-6, -2)
             omega = mp.mpf(10) ** rng.uniform(-40, -0.2)
+            if spread:
+                with mp.workdps(_working_dps(n, DEFAULT_DPS)):
+                    side = rng.choice((-1, 1))
+                    omega = find_omega(n, r, eps).omega * (1 + side * mp.mpf(spread))
             got = lambda_sequence(omega, r, eps, n)
+            if spread:
+                assert got.feasible == (side < 0), (n, r, eps, side)
             assert_same_schedule(got, reference_lambda_sequence(omega, r, eps, n))
             outcomes.add(got.feasible)
         assert outcomes == {True, False}
+
+
+@st.composite
+def endpoint_pairs(draw):
+    """(prec, a, b) for the int endpoint primitives: signed mantissas of up to
+    ``prec`` bits, zero, or ``2^prec`` (an upward rounding that carried), and
+    exponent gaps up to about 11 million bits in either direction."""
+    prec = draw(st.integers(2, 300))
+    mantissa = st.one_of(st.integers(1, (1 << prec) - 1), st.sampled_from([0, 1 << prec]))
+    sign = st.sampled_from([1, -1])
+    gap = st.one_of(
+        st.integers(-3 * prec, 3 * prec),
+        st.sampled_from([prec + 4, prec + 5, -prec - 4, -prec - 5]),
+        st.integers(-11_000_000, 11_000_000),
+    )
+    a = (draw(mantissa) * draw(sign), draw(st.integers(-400, 400)))
+    return prec, a, (draw(mantissa) * draw(sign), a[1] + draw(gap))
+
+
+class TestEndpointPrimitives:
+    """Each int primitive equals the libmp operation that rounds the same way
+    at the same precision, so the recurrence's endpoints are libmp's."""
+
+    @given(endpoint_pairs())
+    @settings(max_examples=400, deadline=None)
+    @example((200, (1, 0), ((1 << 200) - 1, -11_000_000)))  # 1 - W_k, W_k ~ 2^-11e6
+    @example((200, (1 << 200, -5), (3, 9_000_000)))  # carried, far below the other
+    @example((53, (0, 7), (12345, -9)))  # zero operand
+    def test_add_sub_mul_match_libmp(self, case):
+        prec, a, b = case
+        x, y = from_man_exp(*a), from_man_exp(*b)
+        for up, rnd in ((False, round_floor), (True, round_ceiling)):
+            assert from_man_exp(*_add(a, b, prec, up)) == mpf_add(x, y, prec, rnd)
+            assert from_man_exp(*_sub(a, b, prec, up)) == mpf_sub(x, y, prec, rnd)
+            assert from_man_exp(*_mul(a, b, prec, up)) == mpf_mul(x, y, prec, rnd)
+        assert _mid(a, b, prec) == mpi_mid((x, y), prec)
+
+    @given(endpoint_pairs())
+    @settings(max_examples=400, deadline=None)
+    @example((200, (1 << 200, 3), (1 << 200, -11_000_000)))  # carried operands
+    @example((53, (0, 7), (12345, -9)))  # zero numerator and radicand
+    def test_div_sqrt_match_libmp(self, case):
+        prec, (am, ae), (bm, be) = case
+        a, b = (abs(am), ae), (abs(bm) or 1, be)  # a >= 0 and b > 0
+        x, y = from_man_exp(*a), from_man_exp(*b)
+        for up, rnd in ((False, round_floor), (True, round_ceiling)):
+            assert from_man_exp(*_div(a, b, prec, up)) == mpf_div(x, y, prec, rnd)
+            assert from_man_exp(*_sqrt(a, prec, up)) == mpf_sqrt(x, prec, rnd)
 
 
 def seeded_grid(n_max, seed, repeats=1):

@@ -16,9 +16,20 @@ from seqrac import (
     omega_estimate,
     small_angle_poly,
 )
+from seqrac.schedule import DEFAULT_DPS, _working_dps
 from seqrac.smallangle import POLY_CAP, _kronecker_square, leading_coefficient_numeric
 
 F = Fraction
+
+
+def mpf_loop_coefficient(k, c1):
+    """c_k from the value recurrence in high-level mpf arithmetic: the
+    reference for :func:`leading_coefficient_numeric`."""
+    x = c1 * c1
+    p = mp.mpf(1)
+    for j in range(2, k + 1):
+        p = p + mp.mpf(2) ** (2 * j - 5) * x * p * p
+    return 2 ** (k - 1) * c1 * p
 
 
 def schoolbook_square(coeffs):
@@ -112,6 +123,17 @@ class TestOddPowerExpansion:
             assert leading_coefficient(k, 0.5) == pytest.approx(exact, rel=1e-15)
             numeric = leading_coefficient_numeric(k, mp.mpf("0.5"))
             assert float(numeric) == pytest.approx(exact, rel=1e-12)
+
+    def test_numeric_recurrence_matches_mpf_loop(self):
+        # the raw libmp recurrence gives the bits of the high-level loop at
+        # find_omega's working precision, so c_n and its first point stay put
+        rng = random.Random(20261018)
+        for _ in range(300):
+            n, r, eps = rng.randint(1, 70), rng.uniform(0.3, 1.0), 10 ** rng.uniform(-6, -2)
+            with mp.workdps(_working_dps(n, DEFAULT_DPS)):
+                c1 = (1 + mp.mpf(eps)) / (2 * mp.mpf(r))
+                got = leading_coefficient_numeric(n, c1)
+                assert got._mpf_ == mpf_loop_coefficient(n, c1)._mpf_, (n, r, eps)
 
     def test_numeric_recurrence_has_no_cap(self):
         # doubly exponential growth: far beyond double range, still finite

@@ -15,7 +15,7 @@ config path appears in manifests and error messages.  The runs are every op of
 ``bench/workloads.py``), ``poly --k 1..10 --out``, ``schedule`` at a numeric
 omega in {0.03125, 0.0315, 0.001, 0.3, 1e-9} for n in {1, 2, 3, 4, 5, 8, 12}
 (feasible and infeasible), ``schedule --omega auto`` for n in {1, 6, 7, 40,
-64, 100} at r in {0.3, 1} and epsilon in {1e-6, 0.01}, and four ``simulate``
+64, 100, 250} at r in {0.3, 1} and epsilon in {1e-6, 0.01}, and four ``simulate``
 configs, each at ``--threads`` 1 and 2 (the thread count has no effect, so
 each pair must match).  Near lam = 1, where the float sqrt(1 - lam^2)
 cancels, ``sequence`` and a ``simulate`` run at each lam in
@@ -70,7 +70,7 @@ def main() -> None:
     ]
     runs += [
         (("schedule", "--n", n, "--r", r, "--epsilon", eps, "--omega", "auto", "--out", OUT), None)
-        for n in ("1", "6", "7", "40", "64", "100")
+        for n in ("1", "6", "7", "40", "64", "100", "250")
         for r in ("0.3", "1")
         for eps in ("1e-6", "0.01")
     ]
