@@ -4,8 +4,9 @@ sequential traces, Monte Carlo runs, and polynomial tables as CSV/JSON.
 Each ``cmd_*`` handler only computes: it returns its exit code, manifest
 parameters and data files as text, and ``main`` alone writes them. Every run
 that writes files also writes a manifest recording the command, parameters,
-tool version, RNG algorithm, and the sha256 of the bytes of each data file;
-re-running with the same parameters reproduces the data files byte for byte.
+tool version and the sha256 of the bytes of each data file (``simulate.json``
+records the RNG algorithm); re-running with the same parameters reproduces
+the data files byte for byte.
 
 Exit codes: 0 success, 1 a failed verify check, 2 infeasible schedule, 64 usage error.
 """
@@ -446,7 +447,6 @@ def main(argv=None) -> int:
                 "command": args.command,
                 "params": params,
                 "version": __version__,
-                "rng_algorithm": RNG_ALGORITHM,
                 "timestamp": datetime.now(timezone.utc).isoformat(),
                 "outputs": digests,
             }

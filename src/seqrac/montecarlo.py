@@ -173,7 +173,10 @@ def analytic_reference(config: SimulationConfig):
     The success list comes from the exact trace-norm pipeline; the state
     list is the input-averaged state pushed through the non-selective
     channel, matching what the simulation's outcome-averaged collapsed
-    states should reproduce.
+    states should reproduce.  It needs each marginal difference of the
+    family to point along its step observable, as ``propagate`` does, so it
+    raises ``AlignmentError`` for a config that ``run`` accepts and
+    simulates but that is not aligned (the CLI builds only aligned ones).
     """
     import numpy as np
 

@@ -22,9 +22,11 @@ is evaluated in the algebraically identical cancellation-free form
     W_1 = 1 - cos w = 2 sin^2(w/2),       lam_k = (1+eps) 2^(k-1) W_k/(r sin w)
     W_{k+1} = W_k + (1 - W_k) v_k / 2,    v_k = 1 - sqrt(1 - lam_k^2)
 
-which also yields the success margin exactly: P_k - 3/4 = eps * W_k / 4.
-Each step squares a doubly-exponential quantity, so the relative error
-doubles per receiver; the working precision is ``dps`` plus
+with r sin w = 2 r sin(w/2) cos(w/2), so one interval cos/sin of w/2 starts it,
+and P_k = 3/4 + eps W_k / 4 exactly.  The proof runs first; the report, built
+after it, holds interval midpoints, but each success is 3/4 + its margin eps W_k / 4,
+rounded to nearest, not a midpoint.  Each step squares a doubly-exponential quantity,
+so the relative error doubles per receiver; the working precision is ``dps`` plus
 ``ceil(n log10 2)`` digits to cover that loss, plus guard digits.
 """
 
@@ -35,8 +37,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import mpmath as mp
-from mpmath.libmp import from_int, from_man_exp, mpf_add, mpf_div, mpf_mul, mpi_div, mpi_mul
-from mpmath.libmp import mpi_pow_int, mpi_sin, round_nearest
+from mpmath.libmp import from_man_exp, mpf_shift, mpi_cos_sin
 
 from .errors import DomainError, SearchExhausted
 from .rac import DistinguishabilityPair
@@ -59,9 +60,10 @@ MAX_EVALS = 200
 class Schedule:
     """A synthesized unsharpness sequence and its per-receiver quantities.
 
-    Numeric entries are mpmath reals; ``first_failure`` is the 1-based index
-    of the first lam outside (0, 1), at which the sequence is truncated.
-    ``success_margins[k]`` is ``P_k - 3/4`` computed without cancellation.
+    Numeric entries are mpmath reals, built after the proof (which starts from
+    one interval cos/sin of omega/2) as the midpoints of its intervals, except
+    ``successes``: 3/4 + each ``success_margins`` entry P_k - 3/4, not a midpoint.
+    ``first_failure`` is the 1-based index of the first lam outside (0, 1).
     """
 
     omega: mp.mpf
@@ -161,12 +163,11 @@ def lambda_sequence(omega, r, epsilon, n: int, dps: int = DEFAULT_DPS) -> Schedu
     """Build the schedule for ``n`` receivers at opening angle ``omega``.
 
     A string ``omega`` is read at the working precision, not as a double.
-    The recurrence runs in interval arithmetic on int endpoint pairs at
-    ``_working_dps(n, dps)`` digits, without the ``mp.iv`` context, and
-    each reported quantity is the midpoint of its interval, so ``feasible``
-    is proved.  The schedule is marked infeasible at the first receiver
-    whose lam is not certainly in (0, 1), an undecided comparison included,
-    and truncated there (the offending value is kept for reporting).
+    From one interval cos/sin of ``omega/2`` the recurrence runs on int endpoint
+    pairs at ``_working_dps(n, dps)`` digits, without ``mp.iv``, and only proves:
+    the schedule is infeasible at, and cut after, the first receiver whose lam is
+    not certainly in (0, 1), an undecided comparison included.  The report, built
+    after the proof, holds interval midpoints; a success is 3/4 + its margin instead.
     """
     n = _check_n(n)
     with mp.workdps(_working_dps(n, dps)):
@@ -178,33 +179,24 @@ def lambda_sequence(omega, r, epsilon, n: int, dps: int = DEFAULT_DPS) -> Schedu
         if not 0 < omega < mp.pi / 2:
             raise DomainError(f"omega {omega} outside (0, pi/2)")
         _check_r_epsilon(r, epsilon)
-        prec, rn = mp.mp.prec, round_nearest
-        w, two, four = (omega._mpf_, omega._mpf_), (from_int(2), from_int(2)), from_int(4)
-        rs = mpi_mul((r._mpf_, r._mpf_), mpi_sin(w, prec), prec)
-        # 1 - cos(omega) = 2 sin^2(omega/2), stable
-        w_cur = mpi_mul(two, mpi_pow_int(mpi_sin(mpi_div(w, two, prec), prec), 2, prec), prec)
+        prec, h = mp.mp.prec, mpf_shift(omega._mpf_, -1)  # omega/2, exact
         # From here each end is a (mantissa, exponent) int pair: *_lo rounds down, *_hi up
-        (rs_lo, rs_hi), (w_lo, w_hi) = ([(x[1], x[2]) for x in iv] for iv in (rs, w_cur))
-        one, eps, half, m_lo, m_hi = (1, 0), epsilon._mpf_[1:3], from_man_exp(1, -1), (1, 0), (1, 0)
+        (c_lo, c_hi), (s_lo, s_hi) = ([x[1:3] for x in iv] for iv in mpi_cos_sin((h, h), prec))
+        s2_lo, s2_hi = (s_lo[0], s_lo[1] + 1), (s_hi[0], s_hi[1] + 1)  # 2 sin(omega/2), exact
+        # 1 - cos w = 2 sin^2(w/2), stable, and r sin w = 2 r sin(w/2) cos(w/2)
+        w_lo, w_hi = _mul(s2_lo, s_lo, prec, False), _mul(s2_hi, s_hi, prec, True)
+        one, rm, eps, m_lo, m_hi = (1, 0), r._mpf_[1:3], epsilon._mpf_[1:3], (1, 0), (1, 0)
+        rs_lo = _mul(rm, _mul(s2_lo, c_lo, prec, False), prec, False)
+        rs_hi = _mul(rm, _mul(s2_hi, c_hi, prec, True), prec, True)
         inf_lo, inf_hi = _add(one, eps, prec, False), _add(one, eps, prec, True)
-        eps4 = (eps[0], eps[1] - 2)
-        lambdas, m_products, deltas, successes, margins, first_failure = [], [], [], [], [], None
+        ends, first_failure = [], None  # per receiver: (lo, hi) of lam, M, delta1, delta2 and W
         for k in range(1, n + 1):
             # cos(w) M_k / 2^(k-1) and r sin(w) / 2^(k-1)
-            d1_lo, d1_hi = _sub(one, w_hi, prec, False), _sub(one, w_lo, prec, True)
-            d2_lo, d2_hi = (rs_lo[0], rs_lo[1] + 1 - k), (rs_hi[0], rs_hi[1] + 1 - k)
-            lam_lo = _div(_mul(inf_lo, w_lo, prec, False), d2_hi, prec, False)
-            lam_hi = _div(_mul(inf_hi, w_hi, prec, True), d2_lo, prec, True)
-            lam_k, delta1_k, delta2_k = (mp.make_mpf(_mid(lo, hi, prec)) for lo, hi in (
-                (lam_lo, lam_hi), (d1_lo, d1_hi), (d2_lo, d2_hi)))
-            lambdas.append(lam_k)
-            m_products.append(mp.make_mpf(_mid(m_lo, m_hi, prec)))
-            deltas.append(DistinguishabilityPair(delta1_k, delta2_k))
-            # 1/2 + (delta1 + lam delta2)/4
-            p = mpf_add(delta1_k._mpf_, mpf_mul(lam_k._mpf_, delta2_k._mpf_, prec, rn), prec, rn)
-            successes.append(mp.make_mpf(mpf_add(half, mpf_div(p, four, prec, rn), prec, rn)))
-            mg_lo, mg_hi = _mul(eps4, w_lo, prec, False), _mul(eps4, w_hi, prec, True)
-            margins.append(mp.make_mpf(_mid(mg_lo, mg_hi, prec)))  # eps W_k / 4 == success - 3/4
+            d1 = _sub(one, w_hi, prec, False), _sub(one, w_lo, prec, True)
+            d2 = (rs_lo[0], rs_lo[1] + 1 - k), (rs_hi[0], rs_hi[1] + 1 - k)
+            lam_lo = _div(_mul(inf_lo, w_lo, prec, False), d2[1], prec, False)
+            lam_hi = _div(_mul(inf_hi, w_hi, prec, True), d2[0], prec, True)
+            ends.append(((lam_lo, lam_hi), (m_lo, m_hi), d1, d2, (w_lo, w_hi)))
             # lam_k must lie certainly in (0, 1); an undecided comparison fails
             if not (lam_lo[0] > 0 and lam_hi[0].bit_length() + lam_hi[1] <= 0):
                 first_failure = k
@@ -215,13 +207,20 @@ def lambda_sequence(omega, r, epsilon, n: int, dps: int = DEFAULT_DPS) -> Schedu
             den_hi = _add(one, _sqrt(_sub(one, sq_lo, prec, True), prec, True), prec, True)
             v_lo, v_hi = _div(sq_lo, den_hi, prec, False), _div(sq_hi, den_lo, prec, True)
             # W_{k+1} = W_k + delta1 v / 2 and M_{k+1} = M_k (2 - v)
-            w_lo = _add(w_lo, _mul(d1_lo, (v_lo[0], v_lo[1] - 1), prec, False), prec, False)
-            w_hi = _add(w_hi, _mul(d1_hi, (v_hi[0], v_hi[1] - 1), prec, True), prec, True)
+            w_lo = _add(w_lo, _mul(d1[0], (v_lo[0], v_lo[1] - 1), prec, False), prec, False)
+            w_hi = _add(w_hi, _mul(d1[1], (v_hi[0], v_hi[1] - 1), prec, True), prec, True)
             m_lo = _mul(m_lo, _sub((1, 1), v_hi, prec, False), prec, False)
             m_hi = _mul(m_hi, _sub((1, 1), v_lo, prec, True), prec, True)
-
-        return Schedule(omega, r, epsilon, n, tuple(lambdas), tuple(m_products), tuple(deltas),
-                        tuple(successes), tuple(margins), first_failure is None, first_failure)
+        # The report: interval midpoints, the margin that of eps W_k / 4, and success = 3/4 + margin
+        eps4, three_quarters = (eps[0], eps[1] - 2), mp.mpf(0.75)
+        lambdas, m_products, delta1s, delta2s, margins = zip(*(
+            [mp.make_mpf(_mid(lo, hi, prec)) for lo, hi in (lam, m, d1, d2, (
+                _mul(eps4, w[0], prec, False), _mul(eps4, w[1], prec, True)))]
+            for lam, m, d1, d2, w in ends))
+        return Schedule(omega, r, epsilon, n, lambdas, m_products,
+                        tuple(map(DistinguishabilityPair, delta1s, delta2s)),
+                        tuple(three_quarters + g for g in margins), margins,
+                        first_failure is None, first_failure)
 
 
 def feasibility_report(s: Schedule) -> tuple[bool, bool, Optional[int]]:

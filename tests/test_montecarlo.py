@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from seqrac import (
+    AlignmentError,
     AxisError,
     DensityOp,
     DomainError,
@@ -157,6 +158,14 @@ class TestNodeMapOracle:
         np.testing.assert_allclose(successes, want_successes, rtol=0, atol=1e-12)
         np.testing.assert_allclose(mean_states, want_states, rtol=0, atol=1e-12)
 
+    def test_analytic_reference_needs_an_aligned_family(self):
+        # run simulates the out-of-plane family, but propagate cannot follow it
+        steps = tuple(SequentialChannelStep(X, Z, lam) for lam in (0.3, 0.9))
+        cfg = SimulationConfig(OUT_OF_PLANE, steps, 1000, 3)
+        assert len(run(cfg).per_receiver) == 2
+        with pytest.raises(AlignmentError):
+            analytic_reference(cfg)
+
     def test_channel_reference_matches_analytic_reference(self):
         cfg = two_receiver_config()
         for got, want in zip(channel_reference(cfg), analytic_reference(cfg)):
@@ -269,6 +278,8 @@ class TestDeterminism:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         data = json.loads((tmp_path / "simulate.json").read_text())
         assert data["rng_algorithm"] == RNG_ALGORITHM
+        # simulate.json alone records the stream, so the manifest does not repeat it
+        assert "rng_algorithm" not in json.loads((tmp_path / "simulate_manifest.json").read_text())
         assert [rec["shots_counted"] for rec in data["receivers"]] == [1000, 1000]
 
 

@@ -30,6 +30,8 @@ from seqrac.schedule import DEFAULT_DPS, _add, _div, _mid, _mul, _sqrt, _sub, _w
 
 X = SharpObservable.from_axis((1.0, 0.0, 0.0))
 Z = SharpObservable.from_axis((0.0, 0.0, 1.0))
+with mp.workdps(100):
+    NEAR_HALF_PI = mp.nstr(mp.pi / 2 - mp.mpf(10) ** -60, 75)
 
 
 class TestLambdaSequence:
@@ -246,8 +248,9 @@ def reference_lambda_sequence(omega, r, epsilon, n, dps=DEFAULT_DPS):
         saved, iv.dps = iv.dps, mp.mp.dps
         try:
             w, eps = iv.mpf(omega), iv.mpf(epsilon)
-            rs = iv.mpf(r) * iv.sin(w)
-            w_cur = 2 * iv.sin(w / 2) ** 2  # 1 - cos(omega), stable
+            s, c = iv.sin(w / 2), iv.cos(w / 2)
+            rs = iv.mpf(r) * (2 * s * c)  # r sin(omega)
+            w_cur = 2 * s * s  # 1 - cos(omega), stable
             inflate = 1 + eps
             m_cur = iv.mpf(1)
             for k in range(1, n + 1):
@@ -260,7 +263,7 @@ def reference_lambda_sequence(omega, r, epsilon, n, dps=DEFAULT_DPS):
                 lambdas.append(lam_k)
                 m_products.append(m_k)
                 deltas.append(DistinguishabilityPair(delta1_k, delta2_k))
-                successes.append(mp.mpf(1) / 2 + (delta1_k + lam_k * delta2_k) / 4)
+                successes.append(mp.mpf(3) / 4 + margin)
                 margins.append(margin)
                 if not 0 < lam < 1:  # an undecided comparison gives None
                     first_failure = k
@@ -289,7 +292,10 @@ class TestReferenceOracle:
 
     @pytest.mark.parametrize(
         "omega, n, dps",
-        [("0.03125", 4, DEFAULT_DPS), ("0.0315", 4, DEFAULT_DPS), ("1e-6", 8, DEFAULT_DPS)],
+        [("0.03125", 4, DEFAULT_DPS), ("0.0315", 4, DEFAULT_DPS), ("1e-6", 8, DEFAULT_DPS)]
+        # near pi/2, W_1 -> 1 and delta1 -> 0
+        + [(w, n, DEFAULT_DPS) for w in ("1.0", "1.5", "1.5707963267948966", NEAR_HALF_PI)
+           for n in (1, 3)],
     )
     def test_named_points(self, omega, n, dps):
         assert_same_schedule(
@@ -332,6 +338,11 @@ class TestReferenceOracle:
             if spread:
                 assert got.feasible == (side < 0), (n, r, eps, side)
             assert_same_schedule(got, reference_lambda_sequence(omega, r, eps, n))
+            # success = 3/4 + margin is the Born form 1/2 + (delta1 + lam delta2)/4
+            with mp.workdps(_working_dps(n, DEFAULT_DPS)):
+                for lam, d, p in zip(got.lambdas, got.deltas, got.successes):
+                    born = mp.mpf(1) / 2 + (d.delta1 + lam * d.delta2) / 4
+                    assert abs(p - born) <= mp.ldexp(1, 2 - mp.mp.prec), (n, r, eps)
             outcomes.add(got.feasible)
         assert outcomes == {True, False}
 

@@ -13,9 +13,11 @@ listings are equal wrote the same bytes.  Give both the same WORKDIR: the
 config path appears in manifests and error messages.  The runs are every op of
 ``schedule_auto`` seeds 1 and 2 and of ``scalar_mix`` seed 1 (from
 ``bench/workloads.py``), ``poly --k 1..10 --out``, ``schedule`` at a numeric
-omega in {0.03125, 0.0315, 0.001, 0.3, 1e-9} for n in {1, 2, 3, 4, 5, 8, 12}
-(feasible and infeasible), ``schedule --omega auto`` for n in {1, 6, 7, 40,
-64, 100, 250} at r in {0.3, 1} and epsilon in {1e-6, 0.01}, and four ``simulate``
+omega in {0.03125, 0.0315, 0.001, 0.3, 1e-9, 1.0, 1.5, 1.5707963267948966,
+pi/2 - 10^-60 to 75 digits} for n in {1, 2, 3, 4, 5, 8, 12} (feasible and
+infeasible; near pi/2, 1 - cos omega -> 1 and cos omega -> 0),
+``schedule --omega auto`` for n in {1, 6, 7, 40, 64, 100, 250, 500} at r in
+{0.3, 1} and epsilon in {1e-6, 0.01}, and four ``simulate``
 configs, each at ``--threads`` 1 and 2 (the thread count has no effect, so
 each pair must match).  Near lam = 1, where the float sqrt(1 - lam^2)
 cancels, ``sequence`` and a ``simulate`` run at each lam in
@@ -45,6 +47,9 @@ ROUND_TRIP = (
     ("24", "1", "0.01", "2.05744828901783345671466149308e-2549490"),
 )
 
+# pi/2 - 10^-60 to 75 significant digits
+NEAR_HALF_PI = "1.57079632679489661923132169163975144209858469968755291048747129615390820314"
+
 
 def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -65,12 +70,13 @@ def main() -> None:
     runs += [(("poly", "--k", str(k), "--out", OUT), None) for k in range(1, 11)]
     runs += [
         (("schedule", "--n", n, "--omega", omega, "--out", OUT), None)
-        for omega in ("0.03125", "0.0315", "0.001", "0.3", "1e-9")
+        for omega in ("0.03125", "0.0315", "0.001", "0.3", "1e-9", "1.0", "1.5",
+                      "1.5707963267948966", NEAR_HALF_PI)
         for n in ("1", "2", "3", "4", "5", "8", "12")
     ]
     runs += [
         (("schedule", "--n", n, "--r", r, "--epsilon", eps, "--omega", "auto", "--out", OUT), None)
-        for n in ("1", "6", "7", "40", "64", "100", "250")
+        for n in ("1", "6", "7", "40", "64", "100", "250", "500")
         for r in ("0.3", "1")
         for eps in ("1e-6", "0.01")
     ]
