@@ -6,7 +6,8 @@ parameters and data files as text, and ``main`` alone writes them. Every run
 that writes files also writes a manifest recording the command, parameters,
 tool version and the sha256 of the bytes of each data file (``simulate.json``
 records the RNG algorithm); re-running with the same parameters reproduces
-the data files byte for byte.
+the data files byte for byte.  A ``*_dec`` field is its value to DEC_DIGITS
+significant digits, printed at a cost that does not grow with the exponent.
 
 Exit codes: 0 success, 1 a failed verify check, 2 infeasible schedule, 64 usage error.
 """
@@ -23,6 +24,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import mpmath as mp
+from mpmath.libmp import from_man_exp, mpf_exp
 
 from . import __version__
 from .bloch import SharpObservable
@@ -44,6 +46,7 @@ EXIT_INFEASIBLE = 2
 EXIT_USAGE = 64
 
 DEC_DIGITS = 30  # decimal-string precision for thin-margin quantities
+_GUARD = 10  # digits past DEC_DIGITS that decide how _dec rounds them
 
 # What a command handler returns: exit code, manifest params, {file name: text}.
 Output = tuple[int, dict, dict[str, str]]
@@ -58,10 +61,52 @@ def _fmt(value) -> str:
     return str(value)  # for a float, the shortest round-trip repr
 
 
+@functools.cache
+def _log_constants(k: int) -> tuple[int, int, int]:
+    # log2 10, log10 2 and ln 2, each an int within 2 of 2^k times it
+    with mp.workprec(k + 16):
+        ln2, ln10 = +mp.ln2, +mp.ln10
+        return tuple(int(mp.floor(mp.ldexp(c, k))) for c in (ln10 / ln2, ln2 / ln10, ln2))
+
+
 def _dec(value) -> str:
-    # nstr rounds the mpf's own mantissa; mp.mpf(value) would first round
-    # it to the ambient 53-bit precision.
-    return mp.nstr(value, DEC_DIGITS)
+    """The mpf ``value`` to DEC_DIGITS significant digits, rounded half up.
+
+    Within a binary exponent of 3,500 this is nstr, which rounds the mpf's
+    own mantissa.  Beyond it nstr builds 10^b (b the decimal exponent) by
+    squaring; here 10^-b = 2^-q * 2^f with b*log2(10) = q - f, 0 <= f < 1.
+    Errors: the constants are within 2^(1-k), so f is within
+    2^(bitlen(e) + 1 - k) <= 2^-(prec + 7), f*ln 2 within 3 * 2^-k and
+    mpf_exp within 2^(2 - prec) relative: under 2^-40 of
+    y = |x| * 10^(width - b) < 2 * 10^(width + 3) in all.  So n is floor(y)
+    or floor(y) +- 1, y's guard digits lie in (tail, tail + 2) widened by
+    2^-40, and |tail - half| > 2 decides the rounding with a unit to spare.
+    A closer reading is taken again 64 bits and 19 digits finer; one still
+    undecided after 143 guard digits is rounded half up as it stands.
+    """
+    sign, man, exp, bc = value._mpf_
+    if not man or abs(exp + bc) <= 3500:
+        return mp.nstr(value, DEC_DIGITS)
+    e, prec, guard = exp + bc, 192, _GUARD
+    for _ in range(8):
+        k = -(-(e.bit_length() + prec + 8) // 64) * 64
+        log2_10, log10_2, ln2 = _log_constants(k)
+        b = ((e - 1) * log10_2 >> k) - 1  # 10^b <= 2^(e-1) <= |x| < 2000 * 10^b
+        t = b * log2_10
+        q = -(-t >> k)
+        _, m, m_exp, _ = mpf_exp(from_man_exp(((q << k) - t) * ln2 >> k, -k), prec)
+        width = DEC_DIGITS + guard
+        n = man * m * 10**width >> (q - exp - m_exp)
+        extra = len(str(n)) - width
+        head, tail = divmod(n // 10**extra, 10**guard)
+        if abs(2 * tail - 10**guard) > 4:  # |tail - half| > 2
+            break
+        prec, guard = prec + 64, guard + 19
+    head += 2 * tail >= 10**guard
+    digits = str(head)  # DEC_DIGITS digits, or a carry to 10^DEC_DIGITS
+    point = b + extra - 1 + len(digits) - DEC_DIGITS
+    digits = digits.rstrip("0")
+    return f"{'-' * sign}{digits[0]}.{digits[1:] or '0'}e{point:+d}"
 
 
 def _csv(header: list[str], rows) -> str:

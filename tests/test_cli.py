@@ -193,6 +193,10 @@ class TestPinnedBytes:
         )
 
 
+# omega_dec's leading digits at r = 1, epsilon = 1e-4 (for n = 250, as nstr prints them)
+OMEGA_HEAD = {19: "4.18404165604415099", 250: "3.03710205652598122167930303779e-2723456611"}
+
+
 class TestScheduleCommand:
     def test_feasible_schedule_json(self, tmp_path):
         code = main(
@@ -225,20 +229,21 @@ class TestScheduleCommand:
         data = json.loads((tmp_path / "schedule.json").read_text())
         assert data["feasible"] and data["n"] == 5
 
-    def test_dec_fields_carry_thirty_true_digits(self, tmp_path):
+    @pytest.mark.parametrize("n", [19, 250])
+    def test_dec_fields_carry_thirty_true_digits(self, tmp_path, n):
         # n = 19 printed omega_dec 4.18404165604415105...e-78916 when the
         # value was rounded to a double first; the true digits are ...099...
-        argv = ["schedule", "--n", "19", "--epsilon", "1e-4", "--out", str(tmp_path)]
+        argv = ["schedule", "--n", str(n), "--epsilon", "1e-4", "--out", str(tmp_path)]
         assert main(argv) == EXIT_OK
         data = json.loads((tmp_path / "schedule.json").read_text())
-        s = find_omega(19, 1.0, 1e-4)
+        s = find_omega(n, 1.0, 1e-4)
         pairs = [(data["omega_dec"], s.omega)]
         for rec, lam, margin in zip(data["receivers"], s.lambdas, s.success_margins):
             pairs += [(rec["lambda_dec"], lam), (rec["success_margin_dec"], margin)]
         with mp.workdps(100):
             for text, value in pairs:
                 assert abs(mp.mpf(text) - value) <= mp.mpf("5e-30") * abs(value), text
-        assert data["omega_dec"].startswith("4.18404165604415099")
+        assert data["omega_dec"].startswith(OMEGA_HEAD[n])
 
     def test_auto_omega_contract(self, tmp_path):
         rng = random.Random(20261018)
@@ -318,6 +323,93 @@ class TestScheduleCommand:
             + b"\n"
         )
         assert reencoded == raw
+
+
+class TestDecimalStrings:
+    """``cli._dec`` against mpmath's nstr, and against the mpf itself."""
+
+    @staticmethod
+    def check(value):
+        """_dec(value) is nstr's string, or else the one nearer the value."""
+        text, ref = seqrac.cli._dec(value), mp.nstr(value, 30)
+        if text != ref:
+            with mp.workdps(100):
+                assert abs(mp.mpf(text) - value) < abs(mp.mpf(ref) - value), (text, ref)
+        return text != ref
+
+    @staticmethod
+    def exp_calls(monkeypatch):
+        # each mpf_exp call is one reading of the scaled digits
+        calls, exp = [], seqrac.cli.mpf_exp
+        monkeypatch.setattr(seqrac.cli, "mpf_exp", lambda *a: calls.append(a) or exp(*a))
+        return calls
+
+    def test_every_schedule_field_matches_nstr(self):
+        rng = random.Random(20261019)
+        fields = []
+        for n in [*range(2, 41), 250]:
+            s = find_omega(n, rng.uniform(0.3, 1.0), 10 ** rng.uniform(-6, -2))
+            fields += [s.omega, *s.lambdas, *s.success_margins]
+        differ = sum(map(self.check, fields))
+        above = sum(abs(v._mpf_[2] + v._mpf_[3]) > 3500 for v in fields)
+        print(f"{differ} of {len(fields)} fields differ from nstr, {above} above the cutoff")
+        assert above > len(fields) // 2
+
+    def test_random_mantissas_and_exponents(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            man = rng.getrandbits(rng.randrange(2, 300)) | 1
+            e = rng.choice([-1, 1]) * rng.randrange(3400, 2**rng.randrange(12, 64))
+            self.check(mp.mpf((rng.choice([-1, 1]) * man, e - man.bit_length())))
+
+    def test_a_near_tie_that_nstr_misrounds(self):
+        # digits 31 on are 500000541...: nstr reads 33 digits from a 119-bit
+        # quotient and prints ...393 when the value is built at 40 or 70 digits
+        for dps in (40, 60, 70):
+            with mp.workdps(dps):
+                value = mp.mpf("8.50181284483363183470182385393500000541e-33118112961")
+                negative = -value
+            self.check(value)
+            assert seqrac.cli._dec(value) == "8.50181284483363183470182385394e-33118112961"
+            self.check(negative)
+            assert seqrac.cli._dec(negative) == "-8.50181284483363183470182385394e-33118112961"
+
+    @pytest.mark.parametrize("tail, last", [("4" + "9" * 29, "1"), ("5" + "0" * 28 + "1", "2")])
+    def test_guard_digits_at_half_are_read_again(self, monkeypatch, tail, last):
+        # at 60 digits the mpf is within 10^-31 of a unit in digit 30 of the
+        # decimal, so digits 31 to 60 decide how digit 30 rounds
+        calls = self.exp_calls(monkeypatch)
+        with mp.workdps(60):
+            value = mp.mpf(f"1.23456789012345678901234567891{tail}e-5000")
+        assert seqrac.cli._dec(value) == f"1.2345678901234567890123456789{last}e-5000"
+        assert len(calls) >= 2
+        self.check(value)
+
+    def test_carry_to_ten_to_the_thirty(self):
+        with mp.workdps(60):
+            value = mp.mpf("9." + "9" * 29 + "6e-5000")
+        assert seqrac.cli._dec(value) == "1.0e-4999"
+        self.check(value)
+
+    @pytest.mark.parametrize("e", [3500, 3501, -3500, -3501, 10**6, 2**200])
+    def test_at_and_beyond_the_cutoff(self, monkeypatch, e):
+        calls = self.exp_calls(monkeypatch)
+        man = random.Random(e).getrandbits(200) | 1 | 1 << 199
+        value = mp.mpf((man, e - 200))
+        assert value._mpf_[2] + value._mpf_[3] == e
+        assert not self.check(value)
+        assert len(calls) == (abs(e) > 3500)
+        assert ("e+" in seqrac.cli._dec(value)) == (e > 0)
+
+    def test_no_power_as_large_as_the_exponent(self, tmp_path, monkeypatch):
+        pow_int = mp.libmp.libmpf.mpf_pow_int
+
+        def bounded(s, n, *args):
+            assert abs(n) <= 10**6, f"a power of {n}"
+            return pow_int(s, n, *args)
+
+        monkeypatch.setattr(mp.libmp.libmpf, "mpf_pow_int", bounded)
+        assert main(["schedule", "--n", "300", "--out", str(tmp_path)]) == EXIT_OK
 
 
 class TestSequenceCommand:

@@ -17,9 +17,10 @@ omega in {0.03125, 0.0315, 0.001, 0.3, 1e-9, 1.0, 1.5, 1.5707963267948966,
 pi/2 - 10^-60 to 75 digits} for n in {1, 2, 3, 4, 5, 8, 12} (feasible and
 infeasible; near pi/2, 1 - cos omega -> 1 and cos omega -> 0),
 ``schedule --omega auto`` for n in {1, 6, 7, 40, 64, 100, 250, 500} at r in
-{0.3, 1} and epsilon in {1e-6, 0.01}, and four ``simulate``
-configs, each at ``--threads`` 1 and 2 (the thread count has no effect, so
-each pair must match).  Near lam = 1, where the float sqrt(1 - lam^2)
+{0.3, 1} and epsilon in {1e-6, 0.01} and at n = 1000, r = 1, epsilon = 1e-4
+(decimal exponents of about 300 digits), and four ``simulate`` configs,
+each at ``--threads`` 1 and 2 (the thread count has no effect, so each pair
+must match).  Near lam = 1, where the float sqrt(1 - lam^2)
 cancels, ``sequence`` and a ``simulate`` run at each lam in
 {0.9999841142108734, 1 - 2^-20, 1.0}.  Then ``schedule --omega <omega_dec>``
 re-runs the auto run for n in {6, 13, 24} at (r, epsilon) = (0.3, 1e-6) and
@@ -80,6 +81,8 @@ def main() -> None:
         for r in ("0.3", "1")
         for eps in ("1e-6", "0.01")
     ]
+    runs.append((("schedule", "--n", "1000", "--r", "1", "--epsilon", "1e-4", "--omega", "auto",
+                  "--out", OUT), None))
     configs = [
         "omega = 0.3\nlambdas = 0.5,0.8\nshots = 300017\nseed = 7\n",
         "omega = 0.1\nr = 0.8\nlambdas = 0.2,0.4,0.6,0.9\nshots = 200000\nseed = 2026\n",
