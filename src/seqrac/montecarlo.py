@@ -12,8 +12,9 @@ shot-by-shot sampling (the conditional-binomial construction of the
 multinomial; L. Devroye, *Non-Uniform Random Variate Generation*, 1986).
 
 Randomness comes from counter-based Philox streams keyed by
-``(seed, shard_index)`` over shards of ``SHARD_SIZE`` shots, reduced one
-after another in shard order, so memory stays flat for any shot count.
+``(seed, shard_index)`` over shards of ``SHARD_SIZE`` shots.  Consecutive shards
+run in lockstep groups that share one ``_split`` per receiver; their results are
+added in shard order, as if run one by one, and memory stays flat for any shot count.
 numpy is imported on first use, so importing this module stays cheap.
 """
 
@@ -101,62 +102,73 @@ def _split(states, lam: float):
     return probs, children
 
 
-def _shard(config: SimulationConfig, shard_index: int, m: int):
-    """Success counts and summed post-measurement Bloch vectors, per
-    receiver, of ``m`` shots: the shard's stream splits ``m`` over the four
-    inputs, then each receiver splits every node's count over its branches.
-    """
+def _kernel(config: SimulationConfig):
+    """Per-op constants, and ``group(first, sizes)``: shards ``first, ...``
+    of ``sizes[i]`` shots in lockstep, returning their (S, n) success counts
+    and, per shard, the (n, 3) summed post-measurement Bloch vectors per
+    receiver.  A shard's count is 0 at a node of the group it lacks, and a
+    count of 0 draws nothing, so each shard draws what it would alone."""
     import numpy as np
 
-    rng = np.random.Generator(
-        np.random.Philox(key=np.array([config.seed, shard_index], dtype=np.uint64))
-    )
     # Rows a1, a2, a1 x a2: orthonormal, since the axes anticommute
-    a1 = np.array(config.steps[0].b1.bloch)
-    a2 = np.array(config.steps[0].b2.bloch)
+    a1, a2 = np.array(config.steps[0].b1.bloch), np.array(config.steps[0].b2.bloch)
     frame = np.array([a1, a2, np.cross(a1, a2)])
     prep = np.array([s.bloch_vector for s in config.prep.states]) @ frame.T
-    hits = np.array(_HITS)
+    hits, quads = np.array(_HITS), np.arange(4)[:, None]
     # Sharp children of one (x, sign) share a state: they merge into 8 nodes,
-    # in the bincount order 2*x + (sign == -1).  Zero counts are dropped.
+    # in the order 2*x + (sign == -1).  Nodes no shard holds are dropped.
     sharp_x = np.arange(8) >> 1
     sharp_states = np.tile([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]], (4, 1))
 
-    counts = rng.multinomial(m, [0.25] * 4)
-    x = np.flatnonzero(counts)
-    counts, states = counts[x], prep[x]
-    successes = np.zeros(len(config.steps), dtype=np.int64)
-    post_sums = np.zeros((len(config.steps), 3))
-    for k, step in enumerate(config.steps):
-        probs, children = _split(states, step.lam)
-        split = rng.multinomial(counts, probs)
-        successes[k] = (split * hits[x]).sum()
-        sharp = np.bincount((2 * x[:, None] + (0, 1)).ravel(), split[:, :2].ravel(), 8)
-        x = np.concatenate([sharp_x, np.repeat(x, 2)])
-        states = np.concatenate([sharp_states, children[:, 2:].reshape(-1, 3)])
-        counts = np.concatenate([sharp.astype(np.int64), split[:, 2:].ravel()])
-        keep = counts > 0
-        x, states, counts = x[keep], states[keep], counts[keep]
-        post_sums[k] = counts @ states
-    return successes, post_sums @ frame
+    def group(first: int, sizes: list[int]):
+        keys = (np.array([config.seed, first + i], dtype=np.uint64) for i in range(len(sizes)))
+        rngs = [np.random.Generator(np.random.Philox(key=key)) for key in keys]
+        counts = np.array([rng.multinomial(m, [0.25] * 4) for rng, m in zip(rngs, sizes)])
+        x = np.flatnonzero(counts.any(axis=0))
+        counts, states = counts[:, x], prep[x]
+        successes = np.zeros((len(sizes), len(config.steps)), dtype=np.int64)
+        post_sums = [np.zeros((len(config.steps), 3)) for _ in sizes]
+        for k, step in enumerate(config.steps):
+            probs, children = _split(states, step.lam)
+            split = np.array([rng.multinomial(c, probs) for rng, c in zip(rngs, counts)])
+            successes[:, k] = (split * hits[x]).sum(axis=(1, 2))
+            sharp = ((x == quads) @ split[:, :, :2]).reshape(len(sizes), 8)
+            x = np.concatenate([sharp_x, np.repeat(x, 2)])
+            states = np.concatenate([sharp_states, children[:, 2:].reshape(-1, 3)])
+            counts = np.concatenate([sharp, split[:, :, 2:].reshape(len(sizes), -1)], axis=1)
+            keep = counts.any(axis=0)
+            x, states, counts = x[keep], states[keep], counts[:, keep]
+            # Shard by shard over its own nodes, to round as a lone shard does
+            for c, post in zip(counts, post_sums):
+                own = c > 0
+                post[k] = c[own] @ states[own]
+        return successes, [post @ frame for post in post_sums]
+
+    return group
 
 
 def run(config: SimulationConfig, threads: int = 1) -> SimulationResult:
-    """Simulate the full protocol, shard after shard; deterministic given
-    (seed, config).  ``threads`` has no effect; it is accepted, if >= 1, for
-    callers that still pass it."""
+    """Simulate the full protocol; deterministic given (seed, config).  Shards
+    run in lockstep groups of max(1, SHARD_SIZE // (12*2^n - 8)) for n
+    receivers, as a shard holds at most 12*2^n - 8 nodes (4 inputs, then 8
+    sharp nodes and 2 unsharp children per node at each receiver); results
+    are added in shard order.  ``threads`` has no effect; it is accepted, if
+    >= 1, for callers that still pass it."""
     import numpy as np
 
     if threads < 1:
         raise DomainError(f"thread count {threads} must be >= 1")
-    shots = config.shots
-    n_rec = len(config.steps)
+    shots, n_rec = config.shots, len(config.steps)
+    group, size = _kernel(config), max(1, SHARD_SIZE // ((12 << n_rec) - 8))
+    n_shards = -(-shots // SHARD_SIZE)
     successes = np.zeros(n_rec, dtype=np.int64)
     post_sums = np.zeros((n_rec, 3))
-    for j in range(-(-shots // SHARD_SIZE)):
-        s, p = _shard(config, j, min(SHARD_SIZE, shots - j * SHARD_SIZE))
-        successes += s
-        post_sums += p
+    for first in range(0, n_shards, size):
+        shards = range(first, min(first + size, n_shards))
+        s, p = group(first, [min(SHARD_SIZE, shots - j * SHARD_SIZE) for j in shards])
+        successes += s.sum(axis=0)
+        for post in p:
+            post_sums += post
 
     stats = []
     for k in range(n_rec):

@@ -23,13 +23,26 @@ from seqrac import (
     selective_outcome,
     square_preparations,
 )
+from seqrac import montecarlo
 from seqrac.cli import main
-from seqrac.montecarlo import RNG_ALGORITHM, SHARD_SIZE, _shard, _split
+from seqrac.montecarlo import (
+    _HITS,
+    RNG_ALGORITHM,
+    SHARD_SIZE,
+    ReceiverStats,
+    SimulationResult,
+    _kernel,
+    _split,
+)
 
 X = SharpObservable.from_axis((1.0, 0.0, 0.0))
 Z = SharpObservable.from_axis((0.0, 0.0, 1.0))
 OUT_OF_PLANE = PreparationFamily.from_bloch_vectors(
     [(0.6, 0.3, 0.5), (0.5, -0.4, -0.6), (-0.7, 0.2, 0.4), (-0.3, -0.5, -0.6)]
+)
+# pure states on the measured axes: some branches have P = 0
+ON_AXIS = PreparationFamily.from_bloch_vectors(
+    [(1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (-1.0, 0.0, 0.0)]
 )
 
 
@@ -132,6 +145,129 @@ def channel_reference(config):
         successes.append(success)
         mean_states.append(np.mean([rho.bloch_vector for rho in rhos], axis=0))
     return successes, mean_states
+
+
+def reference_shard(config, shard_index, m):
+    """One shard run alone, one node array at a time: the kernel that the
+    lockstep groups replaced.  Success counts and summed post-measurement
+    Bloch vectors, per receiver, of ``m`` shots."""
+    rng = np.random.Generator(
+        np.random.Philox(key=np.array([config.seed, shard_index], dtype=np.uint64))
+    )
+    frame = frame_of(config.steps[0])
+    prep = np.array([s.bloch_vector for s in config.prep.states]) @ frame.T
+    hits = np.array(_HITS)
+    sharp_x = np.arange(8) >> 1
+    sharp_states = np.tile([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]], (4, 1))
+
+    counts = rng.multinomial(m, [0.25] * 4)
+    x = np.flatnonzero(counts)
+    counts, states = counts[x], prep[x]
+    successes = np.zeros(len(config.steps), dtype=np.int64)
+    post_sums = np.zeros((len(config.steps), 3))
+    for k, step in enumerate(config.steps):
+        probs, children = _split(states, step.lam)
+        split = rng.multinomial(counts, probs)
+        successes[k] = (split * hits[x]).sum()
+        sharp = np.bincount((2 * x[:, None] + (0, 1)).ravel(), split[:, :2].ravel(), 8)
+        x = np.concatenate([sharp_x, np.repeat(x, 2)])
+        states = np.concatenate([sharp_states, children[:, 2:].reshape(-1, 3)])
+        counts = np.concatenate([sharp.astype(np.int64), split[:, 2:].ravel()])
+        keep = counts > 0
+        x, states, counts = x[keep], states[keep], counts[keep]
+        post_sums[k] = counts @ states
+    return successes, post_sums @ frame
+
+
+def reference_run(config):
+    """``run`` with every shard run alone by ``reference_shard`` and added
+    to the totals in shard order."""
+    shots, n_rec = config.shots, len(config.steps)
+    successes = np.zeros(n_rec, dtype=np.int64)
+    post_sums = np.zeros((n_rec, 3))
+    for j in range(-(-shots // SHARD_SIZE)):
+        s, p = reference_shard(config, j, min(SHARD_SIZE, shots - j * SHARD_SIZE))
+        successes += s
+        post_sums += p
+    p_hat = successes / shots
+    stats = tuple(ReceiverStats(float(p), math.sqrt(p * (1.0 - p) / shots)) for p in p_hat)
+    return SimulationResult(stats, tuple(tuple(float(c) for c in v / shots) for v in post_sums))
+
+
+def one_shard(config, shard_index, m):
+    """The lockstep group function run on a group of one shard."""
+    successes, post_sums = _kernel(config)(shard_index, [m])
+    return successes[0], post_sums[0]
+
+
+def group_size(n):
+    """Shards per lockstep group at n receivers: a shard holds at most
+    12 * 2^n - 8 nodes, and a group's count matrix at most SHARD_SIZE."""
+    return max(1, SHARD_SIZE // (12 * 2**n - 8))
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("shots", [17, SHARD_SIZE, 3 * SHARD_SIZE + 17])
+    @pytest.mark.parametrize("n", [1, 2, 8, 11, 12, 13])
+    def test_run_equals_shard_by_shard_reference(self, n, shots):
+        # Groups of 4096, 1638, 21 and 2 shards, then one shard per group
+        # from n = 12 on; 3 * SHARD_SIZE + 17 ends in a tail shard
+        steps = tuple(SequentialChannelStep(X, Z, (k + 0.5) / n) for k in range(n))
+        cfg = SimulationConfig(square_preparations(0.4, 0.9), steps, shots, 1000 * n + 7)
+        with np.errstate(all="raise"):
+            assert run(cfg) == reference_run(cfg)
+
+    @pytest.mark.parametrize("lam", [1.0, 1e-12])
+    @pytest.mark.parametrize(
+        "prep",
+        [square_preparations(0.4, 1.0), ON_AXIS, OUT_OF_PLANE],
+        ids=["pure", "on-axis", "out-of-plane"],
+    )
+    @pytest.mark.parametrize("n", [1, 2, 8, 11, 12, 13])
+    def test_edge_families_equal_reference(self, n, prep, lam):
+        steps = tuple(SequentialChannelStep(X, Z, lam) for _ in range(n))
+        cfg = SimulationConfig(prep, steps, 3 * SHARD_SIZE + 17, 29 + n)
+        with np.errstate(all="raise"):
+            assert run(cfg) == reference_run(cfg)
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 11, 12])
+    def test_group_count_matrix_is_bounded(self, monkeypatch, n):
+        # Spy on each group's size and on the union's node count at each
+        # receiver: nodes entering receiver k number at most 12 * 2^k - 8, and
+        # a group's count matrix (shards x nodes, before and after dropping
+        # empty nodes) holds at most SHARD_SIZE entries
+        seen, kernel, split = [], montecarlo._kernel, montecarlo._split
+
+        def spy_kernel(config):
+            group = kernel(config)
+
+            def spy_group(first, sizes):
+                seen.append((first, len(sizes), []))
+                return group(first, sizes)
+
+            return spy_group
+
+        def spy_split(states, lam):
+            seen[-1][2].append(len(states))
+            return split(states, lam)
+
+        monkeypatch.setattr(montecarlo, "_kernel", spy_kernel)
+        monkeypatch.setattr(montecarlo, "_split", spy_split)
+        steps = tuple(SequentialChannelStep(X, Z, (k + 0.5) / n) for k in range(n))
+        run(SimulationConfig(square_preparations(0.4, 0.9), steps, 3 * SHARD_SIZE + 17, n))
+        size = group_size(n)
+        assert [(first, s) for first, s, _ in seen] == [(j, min(size, 4 - j)) for j in range(0, 4, size)]
+        for _, s, nodes in seen:
+            assert len(nodes) == n
+            for k, nodes_in in enumerate(nodes):
+                assert nodes_in <= (12 << k) - 8
+                assert s * nodes_in <= SHARD_SIZE
+                if s > 1:  # the matrix before empty nodes are dropped
+                    assert s * (8 + 2 * nodes_in) <= SHARD_SIZE
+
+    def test_group_sizes_straddle_the_rule(self):
+        # The oracle tables above cover each size, and one shard per group
+        assert [group_size(n) for n in (1, 2, 8, 11, 12, 13)] == [4096, 1638, 21, 2, 1, 1]
 
 
 class TestNodeMapOracle:
@@ -247,23 +383,29 @@ class TestDeterminism:
             assert run(cfg, threads=8) == base
 
     def test_shard_schedule_is_lazy_and_bounded(self, monkeypatch):
-        # A stub shard over ~10^4 shards: sizes follow from the index, and at
-        # most two results (the one being folded and the next) are alive
-        n_shards, tail = 10_000, 123
+        # A stub group function over ~10^4 shards at n = 2: groups run one at
+        # a time in index order, their sizes follow from the index, and when
+        # a group starts at most one earlier group's results (the one just
+        # folded) are alive
+        n_shards, tail, size = 10_000, 123, group_size(2)
         calls, live, peak = [], [0], [0]
 
-        def stub(config, shard_index, m):
-            successes = np.full(2, m, dtype=np.int64)
-            calls.append((shard_index, m))
-            live[0] += 1
-            peak[0] = max(peak[0], live[0])
-            weakref.finalize(successes, lambda: live.__setitem__(0, live[0] - 1))
-            return successes, np.zeros((2, 3))
+        def stub_kernel(config):
+            def group(first, sizes):
+                peak[0] = max(peak[0], live[0])
+                calls.append((first, sizes))
+                successes = np.array([[m, m] for m in sizes], dtype=np.int64)
+                live[0] += 1
+                weakref.finalize(successes, lambda: live.__setitem__(0, live[0] - 1))
+                return successes, [np.zeros((2, 3)) for _ in sizes]
 
-        monkeypatch.setattr("seqrac.montecarlo._shard", stub)
+            return group
+
+        monkeypatch.setattr("seqrac.montecarlo._kernel", stub_kernel)
         result = run(two_receiver_config(shots=(n_shards - 1) * SHARD_SIZE + tail))
-        assert calls == [(j, SHARD_SIZE) for j in range(n_shards - 1)] + [(n_shards - 1, tail)]
-        assert peak[0] <= 2
+        sizes = [SHARD_SIZE] * (n_shards - 1) + [tail]
+        assert calls == [(j, sizes[j : j + size]) for j in range(0, n_shards, size)]
+        assert peak[0] <= 1
         assert all(r.empirical_success == 1.0 for r in result.per_receiver)
 
     def test_different_seeds_differ(self):
@@ -290,7 +432,7 @@ class TestSharding:
         sizes = [SHARD_SIZE, SHARD_SIZE, 123]
         successes = np.zeros(2, dtype=np.int64)
         for idx, m in enumerate(sizes):
-            s, _ = _shard(cfg, idx, m)
+            s, _ = one_shard(cfg, idx, m)
             successes += s
         for k, stats in enumerate(result.per_receiver):
             assert stats.empirical_success == pytest.approx(
@@ -299,8 +441,8 @@ class TestSharding:
 
     def test_shards_are_independent_streams(self):
         cfg = two_receiver_config(shots=SHARD_SIZE)
-        s0, _ = _shard(cfg, 0, 1000)
-        s1, _ = _shard(cfg, 1, 1000)
+        s0, _ = one_shard(cfg, 0, 1000)
+        s1, _ = one_shard(cfg, 1, 1000)
         assert not np.array_equal(s0, s1)
 
 
@@ -310,7 +452,7 @@ class TestStream:
         # re-pin these counts together
         assert RNG_ALGORITHM == "philox4x64/shard65536/multinomial-split"
         cfg = two_receiver_config(shots=2000, seed=20260824)
-        counts = [_shard(cfg, j, 1000)[0].tolist() for j in (0, 1)]
+        counts = [one_shard(cfg, j, 1000)[0].tolist() for j in (0, 1)]
         assert counts == [[790, 753], [760, 747]]
 
     @pytest.mark.parametrize("lam", [1e-12, 0.5, 1.0])
@@ -318,10 +460,7 @@ class TestStream:
         "prep",
         [
             square_preparations(0.4, 1.0),
-            # pure states on the measured axes: some branches have P = 0
-            PreparationFamily.from_bloch_vectors(
-                [(1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (-1.0, 0.0, 0.0)]
-            ),
+            ON_AXIS,
             OUT_OF_PLANE,
         ],
         ids=["pure", "on-axis", "out-of-plane"],
@@ -330,6 +469,6 @@ class TestStream:
         steps = tuple(SequentialChannelStep(X, Z, lam) for _ in range(3))
         cfg = SimulationConfig(prep, steps, 4096, 5)
         with np.errstate(all="raise"):
-            successes, post_sums = _shard(cfg, 0, 4096)
+            successes, post_sums = one_shard(cfg, 0, 4096)
         assert np.isfinite(post_sums).all()
         assert ((0 <= successes) & (successes <= 4096)).all()

@@ -11,10 +11,11 @@ and stderr, then one line per file it wrote: the sha256 of every data file,
 and of every manifest with its ``timestamp`` removed.  Two checkouts whose
 listings are equal wrote the same bytes.  Give both the same WORKDIR: the
 config path appears in manifests and error messages.  The runs are every op of
-``schedule_auto`` seeds 1 and 2 and of ``scalar_mix`` seed 1 (from
-``bench/workloads.py``), ``poly --k 1..10 --out``, ``schedule`` at a numeric
-omega in {0.03125, 0.0315, 0.001, 0.3, 1e-9, 1.0, 1.5, 1.5707963267948966,
-pi/2 - 10^-60 to 75 digits} for n in {1, 2, 3, 4, 5, 8, 12} (feasible and
+``schedule_auto`` seeds 1 and 2, of ``scalar_mix`` seed 1 and of ``mc_chain``
+seed 1 (66 ``simulate --threads 2`` runs; from ``bench/workloads.py``),
+``poly --k 1..10 --out``, ``schedule`` at a numeric omega in {0.03125,
+0.0315, 0.001, 0.3, 1e-9, 1.0, 1.5, 1.5707963267948966, pi/2 - 10^-60 to
+75 digits} for n in {1, 2, 3, 4, 5, 8, 12} (feasible and
 infeasible; near pi/2, 1 - cos omega -> 1 and cos omega -> 0),
 ``schedule --omega auto`` for n in {1, 6, 7, 40, 64, 100, 250, 500} at r in
 {0.3, 1} and epsilon in {1e-6, 0.01} and at n = 1000, r = 1, epsilon = 1e-4
@@ -24,9 +25,11 @@ must match).  Near lam = 1, where the float sqrt(1 - lam^2)
 cancels, ``sequence`` and a ``simulate`` run at each lam in
 {0.9999841142108734, 1 - 2^-20, 1.0}.  Then ``schedule --omega <omega_dec>``
 re-runs the auto run for n in {6, 13, 24} at (r, epsilon) = (0.3, 1e-6) and
-(1, 0.01) from its printed angle.  Last, two ``simulate`` runs: 16 receivers
-over four shards, and lambdas 0.5, 1, 1 on pure states (r = 1), where the
-last receiver meets unsharp branches of probability 0.
+(1, 0.01) from its printed angle.  Last, ``simulate`` runs: 16 receivers
+over four shards; lambdas 0.5, 1, 1 on pure states (r = 1), where the
+last receiver meets unsharp branches of probability 0; and 11 and 12
+receivers over three shards plus a tail shard, on either side of the
+lockstep group rule (two shards per group at n = 11, one from n = 12 on).
 """
 
 import contextlib
@@ -65,7 +68,8 @@ def main() -> None:
     out, cfg = work / "out", work / "sim.cfg"
     runs = [
         (op.argv, op.config)
-        for name, seed in (("schedule_auto", 1), ("schedule_auto", 2), ("scalar_mix", 1))
+        for name, seed in (("schedule_auto", 1), ("schedule_auto", 2), ("scalar_mix", 1),
+                           ("mc_chain", 1))
         for op in generate(name, seed)
     ]
     runs += [(("poly", "--k", str(k), "--out", OUT), None) for k in range(1, 11)]
@@ -107,9 +111,12 @@ def main() -> None:
         for n, r, eps, omega in ROUND_TRIP
     ]
     lams16 = ",".join(f"{0.05 * k:.2f}" for k in range(1, 17))
+    lams11, lams12 = (",".join(f"{(k + 0.5) / n:.4f}" for k in range(n)) for n in (11, 12))
     for config in (
         f"omega = 0.2\nr = 0.95\nlambdas = {lams16}\nshots = 200000\nseed = 16\n",
         "omega = 0.3\nr = 1\nlambdas = 0.5,1.0,1.0\nshots = 70000\nseed = 9\n",
+        f"omega = 0.25\nr = 0.9\nlambdas = {lams11}\nshots = 196625\nseed = 11\n",
+        f"omega = 0.25\nr = 0.9\nlambdas = {lams12}\nshots = 196625\nseed = 12\n",
     ):
         runs.append((("simulate", "--config", CONFIG, "--out", OUT), config))
     for i, (argv, config) in enumerate(runs):
