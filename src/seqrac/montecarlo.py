@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bloch import DensityOp
 from .channel import SequentialChannelStep, _disturbance, nonselective_step
@@ -53,8 +54,7 @@ class SimulationConfig:
             raise AxisError("step axes must anticommute (orthogonal Bloch axes)")
 
 
-@dataclass(frozen=True)
-class ReceiverStats:
+class ReceiverStats(NamedTuple):
     empirical_success: float
     standard_error: float
 

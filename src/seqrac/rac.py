@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bloch import DensityOp, distinguishability
 from .channel import UnsharpBinaryMeasurement
@@ -45,8 +46,7 @@ class DistinguishabilityPair:
     delta2: float
 
 
-@dataclass(frozen=True)
-class ThresholdReport:
+class ThresholdReport(NamedTuple):
     """Critical unsharpness values for a distinguishability pair.
 
     Degenerate denominators are reported as the +inf sentinel so that

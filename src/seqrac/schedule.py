@@ -28,6 +28,7 @@ after it, holds interval midpoints, but each success is 3/4 + its margin eps W_k
 rounded to nearest, not a midpoint.  Each step squares a doubly-exponential quantity,
 so the relative error doubles per receiver; the working precision is ``dps`` plus
 ``ceil(n log10 2)`` digits to cover that loss, plus guard digits.
+mpmath is imported on first use, so importing this module stays cheap.
 """
 
 from __future__ import annotations
@@ -35,9 +36,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Optional
-
-import mpmath as mp
-from mpmath.libmp import from_man_exp, mpf_shift, mpi_cos_sin
 
 from .errors import DomainError, SearchExhausted
 from .rac import DistinguishabilityPair
@@ -84,7 +82,7 @@ def _check_r_epsilon(r: mp.mpf, epsilon: mp.mpf) -> None:
         raise DomainError(f"r {r} outside (0, 1]")
     if not epsilon > 0:
         raise DomainError("epsilon must be > 0")
-    if not mp.isfinite(epsilon):
+    if not epsilon < math.inf:
         raise DomainError(f"epsilon {epsilon} is not finite")
 
 
@@ -154,6 +152,7 @@ def _mid(a: tuple, b: tuple, prec: int) -> tuple:
     """``mpi_mid`` of [a, b] as a raw mpf: ``a + b`` rounded to nearest even, halved."""
     m, e = _add(a, b, prec, None)
     if m <= 0:
+        from mpmath.libmp import from_man_exp
         return from_man_exp(m, e - 1)
     zeros = (m & -m).bit_length() - 1  # stripped, as the canonical form has an odd mantissa
     return 0, m >> zeros, e + zeros - 1, m.bit_length() - zeros
@@ -169,6 +168,9 @@ def lambda_sequence(omega, r, epsilon, n: int, dps: int = DEFAULT_DPS) -> Schedu
     not certainly in (0, 1), an undecided comparison included.  The report, built
     after the proof, holds interval midpoints; a success is 3/4 + its margin instead.
     """
+    import mpmath as mp
+    from mpmath.libmp import mpf_shift, mpi_cos_sin
+
     n = _check_n(n)
     with mp.workdps(_working_dps(n, dps)):
         try:
@@ -247,6 +249,8 @@ def find_omega(n: int, r, epsilon) -> Schedule:
     far below double-precision range; keep it as the arbitrary-precision
     ``omega``.
     """
+    import mpmath as mp
+
     n = _check_n(n)
     with mp.workdps(_working_dps(n, DEFAULT_DPS)):
         r = mp.mpf(r)

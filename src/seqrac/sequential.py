@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .channel import SequentialChannelStep, _channel_bloch, _check_lambda, _disturbance
 # Imported so that the benchmark's tracer, which wraps names where callers
@@ -26,8 +27,7 @@ ALIGNMENT_TOL = 1e-9
 AXIS_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(NamedTuple):
     """What receiver ``k`` sees: both delta pipelines and its success."""
 
     exact: DistinguishabilityPair

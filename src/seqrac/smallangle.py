@@ -17,7 +17,7 @@ exact tables are built on Q_k, squaring by Kronecker substitution: the
 coefficients are packed into one Python int, which is squared once and
 sliced back into coefficients.  Numeric values of ``c_k`` and of the
 opening-angle estimate come from the O(k) value recurrence and build no
-polynomial.
+polynomial.  mpmath and ``fractions`` are imported on first use.
 """
 
 from __future__ import annotations
@@ -26,10 +26,6 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
-
-import mpmath as mp
-from mpmath.libmp import fone, mpf_add, mpf_mul, mpf_shift, round_nearest
 
 from .errors import DomainError
 
@@ -45,6 +41,8 @@ class RationalPolynomial:
     coefficients: tuple[Fraction, ...]
 
     def __mul__(self, other: "RationalPolynomial") -> "RationalPolynomial":
+        from fractions import Fraction
+
         out = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients) - 1)
         for i, a in enumerate(self.coefficients):
             for j, b in enumerate(other.coefficients):
@@ -89,6 +87,8 @@ def _scaled_table(k: int) -> list[int]:
 @functools.lru_cache(maxsize=None)
 def small_angle_poly(k: int) -> RationalPolynomial:
     """The exact polynomial P_k of the quadratic recurrence."""
+    from fractions import Fraction
+
     k = _check_order(k)
     if k > POLY_CAP:
         raise DomainError(f"polynomial order {k} outside [1, {POLY_CAP}]")
@@ -119,6 +119,8 @@ def leading_coefficient(k: int, c1: float):
     Returns a float when it is a normal double, otherwise an mpmath value
     (the coefficients grow doubly exponentially in k).
     """
+    import mpmath as mp
+
     with mp.workdps(40):
         return _float_if_normal(leading_coefficient_numeric(k, c1))
 
@@ -129,6 +131,9 @@ def leading_coefficient_numeric(k: int, c1) -> mp.mpf:
     Used to bracket feasible opening angles for large receiver counts,
     where the exact polynomial would be astronomically large.
     """
+    import mpmath as mp
+    from mpmath.libmp import fone, mpf_add, mpf_mul, mpf_shift, round_nearest
+
     k = _check_order(k)
     c1 = mp.mpf(c1)
     if c1 <= 0:
@@ -154,6 +159,8 @@ def omega_estimate(k: int, r: float, epsilon: float):
     ``2048/(85*(765 + 3347*eps))``.  Returns a float when it is a normal
     double, otherwise an mpmath value.
     """
+    import mpmath as mp
+
     k = _check_order(k)
     if not 0 < r <= 1:
         raise DomainError(f"r {r} outside (0, 1]")

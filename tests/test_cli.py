@@ -19,7 +19,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import seqrac.cli
-from seqrac import SearchExhausted, find_omega, lambda_sequence
+from seqrac import (
+    DistinguishabilityPair,
+    DomainError,
+    SearchExhausted,
+    find_omega,
+    lambda_sequence,
+    thresholds,
+)
 from seqrac.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
 from seqrac.schedule import DEFAULT_DPS
 from seqrac.smallangle import POLY_CAP
@@ -49,6 +56,37 @@ class TestThresholdsCommand:
         )
         _, rows = read_csv(tmp_path / "thresholds.csv")
         assert all(float(r[1]) == 0.6 for r in rows)
+
+    @pytest.mark.parametrize("delta2", [None, 0.0, 0.6, 1.0])
+    @pytest.mark.parametrize("grid", [2, 7, 400])
+    def test_rows_equal_the_threshold_report_path(self, tmp_path, grid, delta2):
+        # the text the command made when every row went through thresholds()
+        rows = []
+        for i in range(grid):
+            if delta2 is not None:
+                d1, d2 = math.sqrt(max(0.0, 1.0 - delta2 * delta2)) * i / (grid - 1), delta2
+            else:
+                d1 = i / (grid - 1)
+                d2 = math.sqrt(max(0.0, 1.0 - d1 * d1))
+            rep = thresholds(DistinguishabilityPair(d1, d2))
+            rows.append((d1, d2, rep.lambda_symmetric_critical, rep.lambda_asymmetric_critical,
+                         rep.classical_simplex_violated))
+        want = seqrac.cli._csv(
+            ["delta1", "delta2", "lambda_sym_critical", "lambda_asym_critical", "simplex_violated"],
+            rows,
+        )
+        argv = ["thresholds", "--grid", str(grid), "--out", str(tmp_path)]
+        assert main(argv + ([] if delta2 is None else ["--delta2", repr(delta2)])) == EXIT_OK
+        assert (tmp_path / "thresholds.csv").read_text() == want
+
+    @pytest.mark.parametrize("delta2", ["-0.1", "1.5", "nan", "inf", "-inf"])
+    def test_delta2_outside_unit_interval_is_usage(self, tmp_path, capsys, delta2):
+        with pytest.raises(DomainError):
+            thresholds(DistinguishabilityPair(0.0, float(delta2)))
+        argv = ["thresholds", "--grid", "5", f"--delta2={delta2}", "--out", str(tmp_path)]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: distinguishability {float(delta2)} outside [0, 1]\n"
+        assert not (tmp_path / "thresholds.csv").exists()
 
 
 class TestManifest:
@@ -339,9 +377,10 @@ class TestDecimalStrings:
 
     @staticmethod
     def exp_calls(monkeypatch):
-        # each mpf_exp call is one reading of the scaled digits
-        calls, exp = [], seqrac.cli.mpf_exp
-        monkeypatch.setattr(seqrac.cli, "mpf_exp", lambda *a: calls.append(a) or exp(*a))
+        # each mpf_exp call is one reading of the scaled digits; _dec imports
+        # mpf_exp from mpmath.libmp on each call, so it is patched there
+        calls, exp = [], mp.libmp.mpf_exp
+        monkeypatch.setattr(mp.libmp, "mpf_exp", lambda *a: calls.append(a) or exp(*a))
         return calls
 
     def test_every_schedule_field_matches_nstr(self):
@@ -621,7 +660,8 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: ")
 
 
-# Runs in a fresh interpreter, so that no other test has loaded numpy yet.
+# Runs one command in a fresh interpreter, so that no other test has loaded
+# numpy or mpmath yet, and prints whether each of them is loaded after it.
 IMPORT_PATH_SCRIPT = r"""
 import sys
 from pathlib import Path
@@ -629,33 +669,38 @@ from pathlib import Path
 import seqrac, seqrac.cli
 
 assert seqrac.cli._parser.cache_info().currsize == 0, "parser built at import"
+loaded = [name for name in ("numpy", "mpmath", "fractions") if name in sys.modules]
+assert not loaded, f"import seqrac, seqrac.cli loaded {loaded}"
 out = sys.argv[1]
-for argv in (
-    ["poly", "--k", "3"],
-    ["schedule", "--n", "3", "--omega", "auto", "--out", out],
-    ["sequence", "--omega", "0.4", "--lambdas", "0.3,0.7", "--out", out],
-    ["thresholds", "--grid", "5", "--out", out],
-    ["region", "--resolution", "5", "--out", out],
-):
-    assert seqrac.cli.main(argv) == 0, argv
-assert "numpy" not in sys.modules, "a numpy-free command loaded numpy"
-
-cfg = Path(out) / "sim.cfg"
-cfg.write_text("omega = 0.3\nlambdas = 0.5\nshots = 1000\nseed = 1\n")
-assert seqrac.cli.main(["simulate", "--config", str(cfg), "--out", out]) == 0
-assert "numpy" in sys.modules
-assert (Path(out) / "simulate.json").is_file()
+(Path(out) / "sim.cfg").write_text("omega = 0.3\nlambdas = 0.5\nshots = 1000\nseed = 1\n")
+argv = [arg.replace("@out", out) for arg in sys.argv[2:]]
+assert seqrac.cli.main(argv) == 0, argv
+print("numpy" in sys.modules, "mpmath" in sys.modules)
 """
 
 
-def test_only_simulate_loads_numpy(tmp_path):
+@pytest.mark.parametrize(
+    "argv, numpy, mpmath",
+    [
+        (["poly", "--k", "3"], False, False),
+        (["schedule", "--n", "3", "--omega", "auto", "--out", "@out"], False, True),
+        (["sequence", "--omega", "0.4", "--lambdas", "0.3,0.7", "--out", "@out"], False, False),
+        (["thresholds", "--grid", "5", "--out", "@out"], False, False),
+        (["region", "--resolution", "5", "--out", "@out"], False, False),
+        (["simulate", "--config", "@out/sim.cfg", "--out", "@out"], True, False),
+        (["verify"], True, True),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else None,
+)
+def test_import_path(tmp_path, argv, numpy, mpmath):
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_PATH_SCRIPT, str(tmp_path)],
+        [sys.executable, "-c", IMPORT_PATH_SCRIPT, str(tmp_path), *argv],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"{numpy} {mpmath}"
 
 
 class TestDeterminism:
