@@ -35,9 +35,7 @@ from .montecarlo import (
     analytic_reference,
     run as run_simulation,
 )
-from .rac import QUANTUM_DISC_TOL, THRESHOLD_DENOM_TOL, square_preparations
-# Imported only so that the benchmark's tracer finds ``seqrac.cli.thresholds``.
-from .rac import thresholds  # noqa: F401
+from .rac import QUANTUM_DISC_TOL, DistinguishabilityPair, square_preparations, thresholds
 from .schedule import feasibility_report, find_omega, lambda_sequence
 from .sequential import propagate
 from .smallangle import odd_power_expansion, small_angle_poly
@@ -127,22 +125,19 @@ def _json(payload: dict) -> str:
 
 
 def cmd_thresholds(args) -> Output:
-    grid, fixed = args.grid, args.delta2
+    rows = []
+    grid = args.grid
     if grid < 2:
         raise DomainError("grid must be >= 2")
-    if fixed is not None and not 0.0 <= fixed <= 1.0:  # also rejects nan
-        raise DomainError(f"distinguishability {fixed} outside [0, 1]")
-    # The rows of thresholds(DistinguishabilityPair(d1, d2)), by the same float operations
-    rows = []
     for i in range(grid):
-        if fixed is not None:
-            d1, d2 = math.sqrt(max(0.0, 1.0 - fixed * fixed)) * i / (grid - 1), fixed
+        if args.delta2 is not None:
+            d2 = args.delta2
+            d1_max = math.sqrt(max(0.0, 1.0 - d2 * d2))
+            d1 = d1_max * i / (grid - 1)
         else:
             d1 = i / (grid - 1)
             d2 = math.sqrt(max(0.0, 1.0 - d1 * d1))
-        sym = 1.0 / (d1 + d2) if d1 + d2 >= THRESHOLD_DENOM_TOL else math.inf
-        asym = (1.0 - d1) / d2 if d2 >= THRESHOLD_DENOM_TOL else math.inf
-        rows.append((d1, d2, sym, asym, d1 + d2 > 1.0))
+        rows.append((d1, d2, *thresholds(DistinguishabilityPair(d1, d2))))
     text = _csv(
         ["delta1", "delta2", "lambda_sym_critical", "lambda_asym_critical", "simplex_violated"],
         rows,

@@ -19,14 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import seqrac.cli
-from seqrac import (
-    DistinguishabilityPair,
-    DomainError,
-    SearchExhausted,
-    find_omega,
-    lambda_sequence,
-    thresholds,
-)
+from seqrac import SearchExhausted, find_omega, lambda_sequence
 from seqrac.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
 from seqrac.schedule import DEFAULT_DPS
 from seqrac.smallangle import POLY_CAP
@@ -57,32 +50,8 @@ class TestThresholdsCommand:
         _, rows = read_csv(tmp_path / "thresholds.csv")
         assert all(float(r[1]) == 0.6 for r in rows)
 
-    @pytest.mark.parametrize("delta2", [None, 0.0, 0.6, 1.0])
-    @pytest.mark.parametrize("grid", [2, 7, 400])
-    def test_rows_equal_the_threshold_report_path(self, tmp_path, grid, delta2):
-        # the text the command made when every row went through thresholds()
-        rows = []
-        for i in range(grid):
-            if delta2 is not None:
-                d1, d2 = math.sqrt(max(0.0, 1.0 - delta2 * delta2)) * i / (grid - 1), delta2
-            else:
-                d1 = i / (grid - 1)
-                d2 = math.sqrt(max(0.0, 1.0 - d1 * d1))
-            rep = thresholds(DistinguishabilityPair(d1, d2))
-            rows.append((d1, d2, rep.lambda_symmetric_critical, rep.lambda_asymmetric_critical,
-                         rep.classical_simplex_violated))
-        want = seqrac.cli._csv(
-            ["delta1", "delta2", "lambda_sym_critical", "lambda_asym_critical", "simplex_violated"],
-            rows,
-        )
-        argv = ["thresholds", "--grid", str(grid), "--out", str(tmp_path)]
-        assert main(argv + ([] if delta2 is None else ["--delta2", repr(delta2)])) == EXIT_OK
-        assert (tmp_path / "thresholds.csv").read_text() == want
-
     @pytest.mark.parametrize("delta2", ["-0.1", "1.5", "nan", "inf", "-inf"])
     def test_delta2_outside_unit_interval_is_usage(self, tmp_path, capsys, delta2):
-        with pytest.raises(DomainError):
-            thresholds(DistinguishabilityPair(0.0, float(delta2)))
         argv = ["thresholds", "--grid", "5", f"--delta2={delta2}", "--out", str(tmp_path)]
         assert main(argv) == EXIT_USAGE
         assert capsys.readouterr().err == f"error: distinguishability {float(delta2)} outside [0, 1]\n"

@@ -2,7 +2,7 @@
 
 Usage, from anywhere:
 
-    python tools/coldstart.py PARENT CHANGE [--runs N] [--json]
+    python tools/coldstart.py PARENT CHANGE [--runs N]
 
 PARENT and CHANGE are roots of seqrac source trees.  Each measurement starts
 a fresh interpreter with the checkout's ``src`` on ``PYTHONPATH``; the two
@@ -15,12 +15,12 @@ round, so a drift of the host's speed falls on both.  The measurements are:
   ``schedule --omega auto`` and ``poly --k 8``, each writing to a scratch
   directory.
 
-For each row and side it prints the median and the interquartile range (IQR)
-of N runs (default 15), in ms: ``wall`` is the whole process as the shell
-sees it, ``inside`` the time from before ``import seqrac.cli`` to the return
-of ``main``.  Compiled bytecode goes to a scratch ``PYTHONPYCACHEPREFIX``,
-filled by one unrecorded run per row and side, so the checkouts stay
-untouched and no row pays for compiling.  Standard library only.
+It prints one JSON object: for each row and side, the median and the
+interquartile range (IQR) of N runs (default 15), in ms.  ``wall_ms`` is the
+whole process as the shell sees it, ``inside_ms`` the time from before
+``import seqrac.cli`` to the return of ``main``.  Compiled bytecode goes to
+a scratch ``PYTHONPYCACHEPREFIX``, filled by one unrecorded run per row and
+side, so the checkouts stay untouched and no row pays for compiling.  Standard library only.
 """
 
 from __future__ import annotations
@@ -91,7 +91,6 @@ def main() -> None:
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--runs", type=int, default=15, help="fresh interpreters per row and side")
-    parser.add_argument("--json", action="store_true", help="print one JSON object instead of a table")
     args = parser.parse_args()
     if args.runs < 2:
         parser.error("--runs must be >= 2")
@@ -131,17 +130,7 @@ def main() -> None:
             })
     result = {"runs": args.runs, "python": sys.version.split()[0], "nproc": os.cpu_count(),
               "rows": rows}
-    if args.json:
-        print(json.dumps(result, indent=1))
-        return
-    print(f"{args.runs} fresh interpreters per row and side; median (IQR) in ms")
-    print(f"{'row':<24}{'side':<8}{'wall':>18}{'inside':>18}")
-    for rec in result["rows"]:
-        cells = [
-            f"{rec[key]['median']:.1f} ({rec[key]['iqr']:.1f})" if rec[key] else "-"
-            for key in ("wall_ms", "inside_ms")
-        ]
-        print(f"{rec['row']:<24}{rec['side']:<8}{cells[0]:>18}{cells[1]:>18}")
+    print(json.dumps(result, indent=1))
 
 
 if __name__ == "__main__":
