@@ -7,7 +7,7 @@ that writes files also writes a manifest recording the command, parameters,
 tool version and the sha256 of the bytes of each data file (``simulate.json``
 records the RNG algorithm); re-running with the same parameters reproduces
 the data files byte for byte.  A ``*_dec`` field is its value to DEC_DIGITS
-significant digits, printed at a cost that does not grow with the exponent.
+significant digits, rounded half up, at a cost that does not grow with the exponent.
 mpmath is imported on first use, so ``sequence``, ``thresholds``, ``region``
 and ``simulate`` never load it; only ``simulate`` and ``verify`` load numpy.
 
@@ -73,44 +73,47 @@ def _log_constants(k: int) -> tuple[int, int, int]:
 def _dec(value) -> str:
     """The mpf ``value`` to DEC_DIGITS significant digits, rounded half up.
 
-    Within a binary exponent of 3,500 this is nstr, which rounds the mpf's
-    own mantissa.  Beyond it nstr builds 10^b (b the decimal exponent) by
-    squaring; here 10^-b = 2^-q * 2^f with b*log2(10) = q - f, 0 <= f < 1.
-    Errors: the constants are within 2^(1-k), so f is within
-    2^(bitlen(e) + 1 - k) <= 2^-(prec + 7), f*ln 2 within 3 * 2^-k and
-    mpf_exp within 2^(2 - prec) relative: under 2^-40 of
-    y = |x| * 10^(width - b) < 2 * 10^(width + 3) in all.  So n is floor(y)
-    or floor(y) +- 1, y's guard digits lie in (tail, tail + 2) widened by
-    2^-40, and |tail - half| > 2 decides the rounding with a unit to spare.
-    A closer reading is taken again 64 bits and 19 digits finer; one still
-    undecided after 143 guard digits is rounded half up as it stands.
+    Laid out as mpmath's to_str lays out 30 digits: fixed for a decimal
+    exponent in (-10, 30), else ``d.ddd...e+-N``; zeros stripped to ``x.0``.
+    10^-b = 2^-q * 2^f with b*log2(10) = q - f, 0 <= f < 1.  Errors, at every
+    binary exponent e (e <= 0 and b = 0 too): the constants are within
+    2^(1-k) and |b| <= 2^bitlen(e) + 1, so f is within 2^(bitlen(e) + 2 - k)
+    <= 2^-(prec + 6), f*ln 2 within 3 * 2^-k and mpf_exp within 2^(2 - prec)
+    relative: under 2^-40 of y = |x| * 10^(width - b) < 2 * 10^(width + 3).
+    So n is floor(y) or floor(y) +- 1, y's guard digits lie in (tail,
+    tail + 2) widened by 2^-40, and |tail - half| > 2 decides the rounding
+    with a unit to spare.  Else it reads again 64 bits and 19 digits finer;
+    undecided at 143 guard digits, it rounds up: right for an exact tie (a
+    short dyadic), wrong only less than 2 units of that digit below a tie.
     """
-    import mpmath as mp
     from mpmath.libmp import from_man_exp, mpf_exp
 
     sign, man, exp, bc = value._mpf_
-    if not man or abs(exp + bc) <= 3500:
-        return mp.nstr(value, DEC_DIGITS)
+    if not man:
+        return str(value) if exp else "0.0"  # mpmath's +inf, -inf or nan, or zero
     e, prec, guard = exp + bc, 192, _GUARD
-    for _ in range(8):
+    for reading in range(8):
         k = -(-(e.bit_length() + prec + 8) // 64) * 64
         log2_10, log10_2, ln2 = _log_constants(k)
         b = ((e - 1) * log10_2 >> k) - 1  # 10^b <= 2^(e-1) <= |x| < 2000 * 10^b
         t = b * log2_10
         q = -(-t >> k)
         _, m, m_exp, _ = mpf_exp(from_man_exp(((q << k) - t) * ln2 >> k, -k), prec)
-        width = DEC_DIGITS + guard
-        n = man * m * 10**width >> (q - exp - m_exp)
+        width, shift = DEC_DIGITS + guard, q - exp - m_exp  # shift < 0: an even integer, b = 0
+        n = man * m * 10**width << max(-shift, 0) >> max(shift, 0)
         extra = len(str(n)) - width
         head, tail = divmod(n // 10**extra, 10**guard)
-        if abs(2 * tail - 10**guard) > 4:  # |tail - half| > 2
+        if abs(2 * tail - 10**guard) > 4 or reading == 7:  # |tail - half| > 2, or the last
             break
         prec, guard = prec + 64, guard + 19
-    head += 2 * tail >= 10**guard
+    head += 2 * tail >= 10**guard - 4
     digits = str(head)  # DEC_DIGITS digits, or a carry to 10^DEC_DIGITS
     point = b + extra - 1 + len(digits) - DEC_DIGITS
-    digits = digits.rstrip("0")
-    return f"{'-' * sign}{digits[0]}.{digits[1:] or '0'}e{point:+d}"
+    if -10 < point < 30:  # fixed; a point < 0 puts zeros before the digits
+        digits, split, suffix = "0" * -point + digits, max(point, 0) + 1, ""
+    else:
+        split, suffix = 1, f"e{point:+d}"
+    return f"{'-' * sign}{digits[:split]}.{digits[split:].rstrip('0') or '0'}{suffix}"
 
 
 def _csv(header: list[str], rows) -> str:
@@ -269,7 +272,10 @@ def _parse_config(path: Path) -> dict:
         if "=" not in line:
             raise DomainError(f"{path}:{lineno}: expected key=value")
         key, _, val = line.partition("=")
-        values[key.strip()] = val.strip()
+        key = key.strip()
+        if key in values:  # else the last value would run and the first be lost
+            raise DomainError(f"{path}:{lineno}: repeated config key {key!r}")
+        values[key] = val.strip()
     return values
 
 

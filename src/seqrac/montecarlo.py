@@ -59,8 +59,7 @@ class ReceiverStats(NamedTuple):
     standard_error: float
 
 
-@dataclass(frozen=True)
-class SimulationResult:
+class SimulationResult(NamedTuple):
     """Per-receiver tallies plus the mean collapsed state after each receiver."""
 
     per_receiver: tuple[ReceiverStats, ...]

@@ -11,7 +11,6 @@ classical bound of 3/4.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .bloch import DensityOp, distinguishability
@@ -24,8 +23,7 @@ QUANTUM_DISC_TOL = 1e-9
 BITS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-@dataclass(frozen=True)
-class PreparationFamily:
+class PreparationFamily(NamedTuple):
     """Four qubit states indexed by the input bits (x1, x2)."""
 
     states: tuple[DensityOp, DensityOp, DensityOp, DensityOp]
@@ -38,8 +36,7 @@ class PreparationFamily:
         return cls(tuple(DensityOp.from_bloch(v) for v in vectors))
 
 
-@dataclass(frozen=True)
-class DistinguishabilityPair:
+class DistinguishabilityPair(NamedTuple):
     """Marginal distinguishabilities (Delta1, Delta2), each in [0, 1]."""
 
     delta1: float

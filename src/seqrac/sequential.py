@@ -13,7 +13,6 @@ as a running check rather than trusted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .channel import SequentialChannelStep, _channel_bloch, _check_lambda, _disturbance
@@ -35,8 +34,7 @@ class TraceEntry(NamedTuple):
     success_probability: float | None
 
 
-@dataclass(frozen=True)
-class SequentialTrace:
+class SequentialTrace(NamedTuple):
     entries: tuple[TraceEntry, ...]
 
     def max_discrepancy(self) -> float:

@@ -136,8 +136,8 @@ def leading_coefficient_numeric(k: int, c1) -> mp.mpf:
 
     k = _check_order(k)
     c1 = mp.mpf(c1)
-    if c1 <= 0:
-        raise DomainError("c1 must be positive")
+    if not 0 < c1 < mp.inf:  # nan and +inf fail too, instead of returning themselves
+        raise DomainError(f"c1 must be positive and finite, not {c1}")
     # raw libmp calls at mp.prec, rounded to nearest, in the operation order of
     # p = p + 2^(2j-5) * x * p * p, with the powers of two exact shifts
     prec, rn = mp.mp.prec, round_nearest

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, manifests, exit codes, determinism."""
 
+import decimal
 import hashlib
 import json
 import math
@@ -332,17 +333,32 @@ class TestScheduleCommand:
         assert reencoded == raw
 
 
+# rounds a decimal significand to _dec's 30 digits, half up, at any exponent
+HALF_UP = decimal.Context(
+    prec=30, rounding=decimal.ROUND_HALF_UP, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX
+)
+
+
+def scientific(text):
+    """A decimal string to 30 digits as (significand in [1, 10), exponent).
+
+    The exponent stays a Python int: schedule fields reach decimal exponents
+    of 75 digits, past what a Decimal can hold.
+    """
+    man, _, exp = text.partition("e")
+    d = HALF_UP.create_decimal(man)
+    return d.scaleb(-d.adjusted(), HALF_UP), int(exp or 0) + d.adjusted()
+
+
 class TestDecimalStrings:
-    """``cli._dec`` against mpmath's nstr, and against the mpf itself."""
+    """``cli._dec`` against a 100-digit reading rounded half up, and its layout."""
 
     @staticmethod
     def check(value):
-        """_dec(value) is nstr's string, or else the one nearer the value."""
-        text, ref = seqrac.cli._dec(value), mp.nstr(value, 30)
-        if text != ref:
-            with mp.workdps(100):
-                assert abs(mp.mpf(text) - value) < abs(mp.mpf(ref) - value), (text, ref)
-        return text != ref
+        """_dec(value), asserted equal to the value's 100 digits rounded to 30."""
+        text = seqrac.cli._dec(value)
+        assert scientific(text) == scientific(mp.nstr(value, 100)), text
+        return text
 
     @staticmethod
     def exp_calls(monkeypatch):
@@ -352,35 +368,48 @@ class TestDecimalStrings:
         monkeypatch.setattr(mp.libmp, "mpf_exp", lambda *a: calls.append(a) or exp(*a))
         return calls
 
-    def test_every_schedule_field_matches_nstr(self):
+    def test_every_schedule_field_is_correctly_rounded(self):
         rng = random.Random(20261019)
         fields = []
         for n in [*range(2, 41), 250]:
             s = find_omega(n, rng.uniform(0.3, 1.0), 10 ** rng.uniform(-6, -2))
             fields += [s.omega, *s.lambdas, *s.success_margins]
-        differ = sum(map(self.check, fields))
-        above = sum(abs(v._mpf_[2] + v._mpf_[3]) > 3500 for v in fields)
-        print(f"{differ} of {len(fields)} fields differ from nstr, {above} above the cutoff")
-        assert above > len(fields) // 2
+        for value in fields:
+            self.check(value)
+        fixed = sum("e" not in seqrac.cli._dec(v) for v in fields)
+        print(f"{len(fields)} fields, {fixed} of them in fixed notation")
+        assert 0 < fixed < len(fields)
 
     def test_random_mantissas_and_exponents(self):
         rng = random.Random(7)
-        for _ in range(200):
+        for _ in range(400):
             man = rng.getrandbits(rng.randrange(2, 300)) | 1
-            e = rng.choice([-1, 1]) * rng.randrange(3400, 2**rng.randrange(12, 64))
+            e = rng.choice([-1, 1]) * rng.choice([rng.randrange(0, 3600),
+                                                  rng.randrange(3400, 2**rng.randrange(12, 64))])
             self.check(mp.mpf((rng.choice([-1, 1]) * man, e - man.bit_length())))
 
     def test_a_near_tie_that_nstr_misrounds(self):
         # digits 31 on are 500000541...: nstr reads 33 digits from a 119-bit
-        # quotient and prints ...393 when the value is built at 40 or 70 digits
-        for dps in (40, 60, 70):
-            with mp.workdps(dps):
-                value = mp.mpf("8.50181284483363183470182385393500000541e-33118112961")
-                negative = -value
-            self.check(value)
-            assert seqrac.cli._dec(value) == "8.50181284483363183470182385394e-33118112961"
-            self.check(negative)
-            assert seqrac.cli._dec(negative) == "-8.50181284483363183470182385394e-33118112961"
+        # quotient, and printed ...393 at each of these scales and precisions
+        digits = "850181284483363183470182385394"
+        for scale in ("", "e-5", "e-300", "e-1000", "e-33118112961"):
+            want = {"": f"8.{digits[1:]}", "e-5": f"0.0000{digits}"}.get(
+                scale, f"8.{digits[1:]}{scale}")
+            for dps in (40, 60, 70):
+                with mp.workdps(dps):
+                    value = mp.mpf("8.50181284483363183470182385393500000541" + scale)
+                    negative = -value
+                assert self.check(value) == want, (scale, dps)
+                assert self.check(negative) == "-" + want, (scale, dps)
+
+    def test_an_exact_tie_rounds_up(self, monkeypatch):
+        # 389347099 * 2^-31 = 0.1813038713298738002777099609375 exactly: its
+        # guard digits are 5000... at every reading, so all eight are taken
+        calls = self.exp_calls(monkeypatch)
+        value = mp.ldexp(389347099, -31)
+        assert seqrac.cli._dec(value) == "0.181303871329873800277709960938"
+        assert len(calls) == 8
+        assert self.check(-value) == "-0.181303871329873800277709960938"
 
     @pytest.mark.parametrize("tail, last", [("4" + "9" * 29, "1"), ("5" + "0" * 28 + "1", "2")])
     def test_guard_digits_at_half_are_read_again(self, monkeypatch, tail, last):
@@ -396,18 +425,48 @@ class TestDecimalStrings:
     def test_carry_to_ten_to_the_thirty(self):
         with mp.workdps(60):
             value = mp.mpf("9." + "9" * 29 + "6e-5000")
-        assert seqrac.cli._dec(value) == "1.0e-4999"
-        self.check(value)
+        assert self.check(value) == "1.0e-4999"
 
-    @pytest.mark.parametrize("e", [3500, 3501, -3500, -3501, 10**6, 2**200])
+    @pytest.mark.parametrize("text, want", [
+        ("0", "0.0"),
+        ("20", "20.0"),  # integers at decimal exponent 1: a left shift
+        ("64", "64.0"),
+        ("-2.5", "-2.5"),
+        ("1.5e-10", "1.5e-10"),  # decimal exponent -10: exponent form
+        ("1.5e-9", "0.0000000015"),  # -9: fixed
+        ("-1.5e-9", "-0.0000000015"),
+        ("9.999999999999999999999999999999996e-10", "0.000000001"),  # carries to -9
+        ("0.99999999999999999999999999999996", "1.0"),
+        ("1.5e29", "150000000000000000000000000000.0"),  # 29: fixed
+        ("9.999999999999999999999999999999996e28", "100000000000000000000000000000.0"),
+        ("1.5e30", "1.5e+30"),  # 30: exponent form
+        ("9.999999999999999999999999999999996e29", "1.0e+30"),  # carries to 30
+        ("-9.999999999999999999999999999999996e29", "-1.0e+30"),
+    ])
+    def test_layout(self, text, want):
+        # fixed notation for a decimal exponent in (-10, 30), trailing zeros
+        # stripped down to x.0, as mpmath lays out 30 digits
+        with mp.workdps(40):
+            value = mp.mpf(text)
+        assert self.check(value) == want
+
+    def test_non_finite_values_are_not_zero(self):
+        # their mantissa is 0, as zero's is; they print as mpmath prints them
+        assert [seqrac.cli._dec(v) for v in (mp.inf, -mp.inf, mp.nan)] == ["+inf", "-inf", "nan"]
+
+    @pytest.mark.parametrize("e", [0, 5, 3500, 3501, -3500, -3501, 10**6, 2**200])
     def test_at_and_beyond_the_cutoff(self, monkeypatch, e):
+        # nstr printed |e| <= 3,500 until one printer took every exponent:
+        # each now takes exactly one reading, at either side of that line
         calls = self.exp_calls(monkeypatch)
         man = random.Random(e).getrandbits(200) | 1 | 1 << 199
         value = mp.mpf((man, e - 200))
         assert value._mpf_[2] + value._mpf_[3] == e
-        assert not self.check(value)
-        assert len(calls) == (abs(e) > 3500)
-        assert ("e+" in seqrac.cli._dec(value)) == (e > 0)
+        text = seqrac.cli._dec(value)
+        assert len(calls) == 1
+        assert ("e" in text) == (abs(e) > 5)
+        monkeypatch.undo()
+        assert self.check(value) == text
 
     def test_no_power_as_large_as_the_exponent(self, tmp_path, monkeypatch):
         pow_int = mp.libmp.libmpf.mpf_pow_int
@@ -497,6 +556,14 @@ class TestSimulateCommand:
         cfg = self.write_config(tmp_path, **{key: value})
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
         assert f"error: {cfg}: unknown config key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "simulate.json").exists()
+
+    def test_repeated_key_is_usage_error(self, tmp_path, capsys):
+        # shots = 1000 then shots = 2000 used to run 2,000 shots and exit 0
+        cfg = self.write_config(tmp_path, shots="1000")
+        cfg.write_text(cfg.read_text() + "shots = 2000\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
+        assert f"error: {cfg}:6: repeated config key 'shots'" in capsys.readouterr().err
         assert not (tmp_path / "simulate.json").exists()
 
     def test_non_utf8_config_is_usage_error(self, tmp_path, capsys):

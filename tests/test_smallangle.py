@@ -142,6 +142,9 @@ class TestOddPowerExpansion:
         assert leading_coefficient(16, 0.50005) > mp.mpf("1e9000")
         with pytest.raises(DomainError):
             leading_coefficient(0, 0.5)
+        for c1 in (math.nan, math.inf):  # these used to return nan and +inf
+            with pytest.raises(DomainError, match="c1 must be positive and finite"):
+                leading_coefficient(4, c1)
 
     def test_numeric_recurrence_domain_checks(self):
         with pytest.raises(DomainError, match="order 0"):

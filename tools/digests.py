@@ -30,6 +30,10 @@ over four shards; lambdas 0.5, 1, 1 on pure states (r = 1), where the
 last receiver meets unsharp branches of probability 0; and 11 and 12
 receivers over three shards plus a tail shard, on either side of the
 lockstep group rule (two shards per group at n = 11, one from n = 12 on).
+Then ``schedule --n 1`` at four angles whose ``omega_dec`` pins the decimal
+printer's edges: the exact tie 389347099 * 2^-31, which rounds up to
+...938; 1.5e-10, in exponent form; and values that carry to 0.000000001
+and to 1.0, across the fixed/exponent boundary and to the next digit.
 """
 
 import contextlib
@@ -50,6 +54,10 @@ ROUND_TRIP = (
     ("24", "0.3", "1e-6", "2.29918786489600610412169183022e-7301868"),
     ("24", "1", "0.01", "2.05744828901783345671466149308e-2549490"),
 )
+
+# omega_dec at the decimal printer's edges: a tie, exponent -10, two carries
+DEC_EDGES = ("0.1813038713298738002777099609375", "1.5e-10",
+             "9.999999999999999999999999999999996e-10", "0.99999999999999999999999999999996")
 
 # pi/2 - 10^-60 to 75 significant digits
 NEAR_HALF_PI = "1.57079632679489661923132169163975144209858469968755291048747129615390820314"
@@ -119,6 +127,7 @@ def main() -> None:
         f"omega = 0.25\nr = 0.9\nlambdas = {lams12}\nshots = 196625\nseed = 12\n",
     ):
         runs.append((("simulate", "--config", CONFIG, "--out", OUT), config))
+    runs += [(("schedule", "--n", "1", "--omega", omega, "--out", OUT), None) for omega in DEC_EDGES]
     for i, (argv, config) in enumerate(runs):
         shutil.rmtree(work, ignore_errors=True)
         out.mkdir(parents=True)
