@@ -52,12 +52,7 @@ Output = tuple[int, dict, dict[str, str]]
 
 B1 = SharpObservable.from_axis((1.0, 0.0, 0.0))
 B2 = SharpObservable.from_axis((0.0, 0.0, 1.0))
-
-
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)  # for a float, the shortest round-trip repr
+_FLAG = ("false", "true")  # a bool cell's text, indexed by the bool
 
 
 @functools.cache
@@ -119,7 +114,7 @@ def _dec(value) -> str:
 def _csv(header: list[str], rows) -> str:
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        lines.append(",".join(map(str, row)))  # a float's str is its shortest repr
     return "\n".join(lines) + "\n"
 
 
@@ -140,7 +135,8 @@ def cmd_thresholds(args) -> Output:
         else:
             d1 = i / (grid - 1)
             d2 = math.sqrt(max(0.0, 1.0 - d1 * d1))
-        rows.append((d1, d2, *thresholds(DistinguishabilityPair(d1, d2))))
+        sym, asym, violated = thresholds(DistinguishabilityPair(d1, d2))
+        rows.append((d1, d2, sym, asym, _FLAG[violated]))
     text = _csv(
         ["delta1", "delta2", "lambda_sym_critical", "lambda_asym_critical", "simplex_violated"],
         rows,
@@ -152,16 +148,15 @@ def cmd_region(args) -> Output:
     res = args.resolution
     if res < 2:
         raise DomainError("resolution must be >= 2")
-    # The same text _csv makes of the rows (d1, d2, disc, simplex), with
+    # The same text _csv makes of the rows (d1, d2, _FLAG[disc], _FLAG[simplex]), with
     # each coordinate's repr taken once instead of once per cell, joined per
     # d1 block so that the R^2 rows are never all held as separate strings.
     coords = [(i / (res - 1), repr(i / (res - 1))) for i in range(res)]
-    flag = ("false", "true")
     blocks = ["delta1,delta2,inside_quantum_disc,inside_classical_simplex\n"]
     for d1, text1 in coords:
         sq1 = d1 * d1
         blocks.append("".join([
-            f"{text1},{text2},{flag[sq1 + d2 * d2 <= 1.0]},{flag[d1 + d2 <= 1.0]}\n"
+            f"{text1},{text2},{_FLAG[sq1 + d2 * d2 <= 1.0]},{_FLAG[d1 + d2 <= 1.0]}\n"
             for d2, text2 in coords
         ]))
     return EXIT_OK, {"resolution": res}, {"region.csv": "".join(blocks)}

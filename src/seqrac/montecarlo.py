@@ -27,7 +27,7 @@ from typing import NamedTuple
 from .bloch import DensityOp
 from .channel import SequentialChannelStep, _disturbance, nonselective_step
 from .errors import AxisError, DomainError
-from .rac import PreparationFamily
+from .rac import BITS, PreparationFamily
 from .sequential import _check_axes, propagate
 
 RNG_ALGORITHM = "philox4x64/shard65536/multinomial-split"
@@ -66,9 +66,8 @@ class SimulationResult(NamedTuple):
     mean_post_bloch: tuple[tuple[float, float, float], ...]
 
 
-# _HITS[x][j] is 1 when branch j (sharp +-, unsharp +-) decodes input x's bit:
-# sharp reads bit1 = x >> 1, unsharp bit2 = x & 1, and + reads 0
-_HITS = ((1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1))
+# _HITS[x][j] is 1 when branch j (sharp +-, unsharp +-; + reads 0) decodes x's bit
+_HITS = tuple((1 - x1, x1, 1 - x2, x2) for x1, x2 in BITS)
 
 
 def _split(states, lam: float):

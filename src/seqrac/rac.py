@@ -5,7 +5,8 @@ Alice encodes two bits into one of four states; a receiver asked for bit
 that bit.  The quantities of interest are the pair of marginal
 distinguishabilities (Delta1, Delta2), the Born-rule average success
 probability, and the critical unsharpness thresholds for beating the
-classical bound of 3/4.
+classical bound of 3/4.  ``marginals`` and ``_half_differences`` alone pair
+the four states (``BITS`` order) into marginals, as states and as tuples.
 """
 
 from __future__ import annotations
@@ -97,6 +98,22 @@ def delta_pair(prep: PreparationFamily) -> DistinguishabilityPair:
         m0, m1 = marginals(prep, y)
         d.append(distinguishability(m0, m1))
     return DistinguishabilityPair(d[0], d[1])
+
+
+def _half_differences(vectors):
+    """Halved bit-1 and bit-2 marginal differences of Bloch vectors in ``BITS`` order,
+    by the float steps of ``distinguishability(*marginals(...))``: only a subnormal
+    component, which ``DensityOp``'s halved storage rounds, can come out differently."""
+    components = list(zip(*vectors))
+    d1 = [(0.5 * (a + b) - 0.5 * (c + d)) * 0.5 for a, b, c, d in components]
+    d2 = [(0.5 * (a + c) - 0.5 * (b + d)) * 0.5 for a, b, c, d in components]
+    return d1, d2
+
+
+def _vector_delta_pair(vectors) -> DistinguishabilityPair:
+    """``delta_pair`` of the family with Bloch-vector tuples ``vectors``."""
+    d1, d2 = _half_differences(vectors)
+    return DistinguishabilityPair(math.hypot(*d1), math.hypot(*d2))
 
 
 def avg_success(

@@ -111,7 +111,9 @@ def _round(m: int, e: int, prec: int, up) -> tuple:
 
 def _add(a: tuple, b: tuple, prec: int, up) -> tuple:
     """``a + b`` for operands of ``prec`` bits, rounded as by :func:`_round`.  As in
-    ``mpf_add``, one whose top bit lies over ``prec + 4`` bits below the other's is a sticky bit."""
+    ``mpf_add``, one whose top bit lies over ``prec + 4`` bits below the other's is a sticky bit.
+    Any cutoff from ``prec + 1`` up is equivalent: past it the smaller lies within half the
+    ``prec``-bit spacing next to the larger, so it and a sticky bit round the sum alike."""
     (am, ae), (bm, be) = a, b
     if not (am and bm):
         return _round(am or bm, ae if am else be, prec, up)

@@ -7,7 +7,8 @@ distinguishability and shrinks the sharp-axis one by
 distinguishabilities twice: exactly, via trace norms of the propagated
 marginal differences, and via this closed-form recursion.  The two agree
 precisely when the step observables anticommute, and the comparison is kept
-as a running check rather than trusted.
+as a running check rather than trusted.  The exact pipeline and the
+alignment check both pair the family's Bloch-vector tuples through ``rac``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from .channel import SequentialChannelStep, _channel_bloch, _check_lambda, _dist
 # look them up, still finds ``seqrac.sequential.nonselective_step``.
 from .channel import nonselective_step  # noqa: F401
 from .errors import AlignmentError, AxisError, DomainError
-from .rac import DistinguishabilityPair, PreparationFamily, delta_pair, marginals
+from .rac import DistinguishabilityPair, PreparationFamily, delta_pair
+from .rac import _half_differences, _vector_delta_pair
 
 ALIGNMENT_TOL = 1e-9
 AXIS_TOL = 1e-12
@@ -63,32 +65,16 @@ def _check_axes(steps) -> None:
             raise AxisError("sequential steps disagree on measurement axes")
 
 
-def _check_alignment(prep: PreparationFamily, step: SequentialChannelStep) -> None:
+def _check_alignment(vectors, step: SequentialChannelStep) -> None:
     """The initial marginal differences must point along the step observables."""
-    for y, obs in ((1, step.b1), (2, step.b2)):
-        m0, m1 = marginals(prep, y)
-        d = tuple(a - b for a, b in zip(m0.bloch_vector, m1.bloch_vector))
-        along = sum(a * c for a, c in zip(obs.bloch, d))
-        perp = tuple(c - along * a for a, c in zip(obs.bloch, d))
-        if math.hypot(*perp) > ALIGNMENT_TOL or along < -ALIGNMENT_TOL:
+    for y, obs, half in zip((1, 2), (step.b1, step.b2), _half_differences(vectors)):
+        along = sum(a * c for a, c in zip(obs.bloch, half))
+        perp = tuple(c - along * a for a, c in zip(obs.bloch, half))
+        if 2.0 * math.hypot(*perp) > ALIGNMENT_TOL or 2.0 * along < -ALIGNMENT_TOL:
             raise AlignmentError(
                 f"bit-{y} marginal difference is not (positively) aligned "
                 "with its observable"
             )
-
-
-def _vector_delta_pair(vectors) -> DistinguishabilityPair:
-    """``delta_pair`` of the family with Bloch vectors ``vectors`` (00, 01, 10, 11).
-
-    Each component is ``(0.5*(a+b) - 0.5*(c+d)) * 0.5``, the float operations
-    of ``distinguishability(*marginals(...))``, so the result is the same
-    double (except for subnormal components, which the halved storage of
-    ``DensityOp`` rounds).
-    """
-    components = list(zip(*vectors))
-    d1 = [(0.5 * (a + b) - 0.5 * (c + d)) * 0.5 for a, b, c, d in components]
-    d2 = [(0.5 * (a + c) - 0.5 * (b + d)) * 0.5 for a, b, c, d in components]
-    return DistinguishabilityPair(math.hypot(*d1), math.hypot(*d2))
 
 
 def propagate(
@@ -110,13 +96,13 @@ def propagate(
     if not steps:
         raise DomainError("at least one channel step is required")
     _check_axes(steps)
+    vectors = [rho.bloch_vector for rho in prep.states]
     if check_alignment:
-        _check_alignment(prep, steps[0])
+        _check_alignment(vectors, steps[0])
 
     dp0 = delta_pair(prep)
     shrink1 = 1.0
     entries = []
-    vectors = [rho.bloch_vector for rho in prep.states]
     for k in range(len(steps) + 1):
         exact = _vector_delta_pair(vectors)
         recursion = DistinguishabilityPair(dp0.delta1 * shrink1, dp0.delta2 / 2.0**k)

@@ -109,14 +109,15 @@ class TestRegionCommand:
 
     @pytest.mark.parametrize("res", [2, 3, 101])
     def test_matches_generic_csv_rendering(self, tmp_path, res):
-        # region formats its cells inline; _csv/_fmt is the reference
+        # region formats its cells inline; _csv with _FLAG text is the reference
         assert main(["region", "--resolution", str(res), "--out", str(tmp_path)]) == EXIT_OK
         rows = [
             (i / (res - 1), j / (res - 1)) for i in range(res) for j in range(res)
         ]
+        flag = seqrac.cli._FLAG
         reference = seqrac.cli._csv(
             ["delta1", "delta2", "inside_quantum_disc", "inside_classical_simplex"],
-            [(d1, d2, d1 * d1 + d2 * d2 <= 1.0, d1 + d2 <= 1.0) for d1, d2 in rows],
+            [(d1, d2, flag[d1 * d1 + d2 * d2 <= 1.0], flag[d1 + d2 <= 1.0]) for d1, d2 in rows],
         )
         assert (tmp_path / "region.csv").read_bytes() == reference.encode()
 
@@ -685,6 +686,17 @@ class TestExitCodes:
         # --r would otherwise run region --resolution 5 and exit 0
         assert main([*argv, "--out", str(tmp_path)]) == EXIT_USAGE
         assert "unrecognized arguments" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["schedule", "--n", "3", "--omega=-1e-3"],
+         ["sequence", "--omega=-1e-3", "--lambdas", "0.5"]],
+    )
+    def test_dash_value_joined_with_equals_reaches_domain_check(self, tmp_path, capsys, argv):
+        # argparse takes "-1e-3" after a space for a flag; README documents the = form
+        assert main([*argv, "--out", str(tmp_path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: omega -0.001 outside (0, pi/2)\n"
         assert not any(tmp_path.iterdir())
 
     def test_uncreatable_out_is_usage(self, tmp_path, capsys):

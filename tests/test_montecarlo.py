@@ -307,6 +307,10 @@ class TestNodeMapOracle:
         for got, want in zip(channel_reference(cfg), analytic_reference(cfg)):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
+    def test_hits_decode_each_input_bit(self):
+        # branches sharp +, sharp -, unsharp +, unsharp -; a + outcome reads 0
+        assert _HITS == ((1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1))
+
     def test_empty_branches_are_clamped_and_finite(self):
         # A pure state on the unsharp axis at lam = 1: the "-" branch is
         # empty.  A state a rounding past the sharp pole: 1 - c1 < 0 is

@@ -1,10 +1,11 @@
 """Encoding task quantities: marginals, distinguishability pairs, thresholds."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from seqrac import (
@@ -21,7 +22,12 @@ from seqrac import (
     theorem1_sampler,
     thresholds,
 )
-from seqrac.rac import _family_delta_sq, sample_bloch_vectors
+from seqrac.rac import (
+    _family_delta_sq,
+    _half_differences,
+    _vector_delta_pair,
+    sample_bloch_vectors,
+)
 
 X = SharpObservable.from_axis((1.0, 0.0, 0.0))
 Z = SharpObservable.from_axis((0.0, 0.0, 1.0))
@@ -75,6 +81,39 @@ class TestMarginals:
     def test_bad_bit_index(self):
         with pytest.raises(DomainError):
             marginals(square_preparations(0.3), 0)
+
+
+ball_vector = st.tuples(*[st.floats(min_value=-1.0, max_value=1.0)] * 3).filter(
+    lambda v: math.hypot(*v) <= 1.0
+)
+families = st.one_of(
+    st.lists(ball_vector, min_size=4, max_size=4).map(PreparationFamily.from_bloch_vectors),
+    st.builds(
+        square_preparations,
+        st.floats(min_value=1e-6, max_value=math.pi / 2 - 1e-6),
+        st.floats(min_value=1e-3, max_value=1.0),
+    ),
+)
+
+
+class TestTuplePairing:
+    """The tuple form of the state layout against the DensityOp path."""
+
+    @given(families)
+    @settings(max_examples=300, deadline=None)
+    def test_half_differences_match_marginals_bit_for_bit(self, prep):
+        pairs = [marginals(prep, y) for y in (1, 2)]
+        # The documented exception: DensityOp stores n/2, which rounds a
+        # marginal component below twice the smallest normal double.
+        assume(all(
+            c == 0.0 or abs(c) >= 2 * sys.float_info.min
+            for pair in pairs for m in pair for c in m.bloch_vector
+        ))
+        vectors = [rho.bloch_vector for rho in prep.states]
+        for half, (m0, m1) in zip(_half_differences(vectors), pairs):
+            want = [0.5 * (a - b) for a, b in zip(m0.bloch_vector, m1.bloch_vector)]
+            assert [c.hex() for c in half] == [c.hex() for c in want]
+        assert _vector_delta_pair(vectors) == delta_pair(prep)
 
 
 class TestAvgSuccess:

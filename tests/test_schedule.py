@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import (
     from_man_exp, mpf_add, mpf_div, mpf_mul, mpf_sqrt, mpf_sub, mpi_mid, round_ceiling,
-    round_floor,
+    round_floor, round_nearest,
 )
 
 import seqrac.schedule
@@ -364,6 +364,22 @@ def endpoint_pairs(draw):
     return prec, a, (draw(mantissa) * draw(sign), a[1] + draw(gap))
 
 
+@st.composite
+def sticky_gap_pairs(draw):
+    """(prec, a, b) whose top bits lie ``prec - 1`` to ``prec + 6`` bits apart,
+    either one the larger: the gaps around ``_add``'s sticky cutoff.  Powers of
+    two, all-ones and carried mantissas put the sum next to a binade's edge."""
+    prec = draw(st.one_of(st.sampled_from([53, 100, 200]), st.integers(2, 300)))
+    mantissa = st.one_of(
+        st.integers(1, (1 << prec) - 1), st.sampled_from([1, (1 << prec) - 1, 1 << prec])
+    )
+    sign = st.sampled_from([1, -1])
+    am, bm = draw(mantissa) * draw(sign), draw(mantissa) * draw(sign)
+    ae = draw(st.integers(-400, 400))
+    gap = draw(st.integers(prec - 1, prec + 6)) * draw(sign)
+    return prec, (am, ae), (bm, ae + am.bit_length() - bm.bit_length() - gap)
+
+
 class TestEndpointPrimitives:
     """Each int primitive equals the libmp operation that rounds the same way
     at the same precision, so the recurrence's endpoints are libmp's."""
@@ -381,6 +397,18 @@ class TestEndpointPrimitives:
             assert from_man_exp(*_sub(a, b, prec, up)) == mpf_sub(x, y, prec, rnd)
             assert from_man_exp(*_mul(a, b, prec, up)) == mpf_mul(x, y, prec, rnd)
         assert _mid(a, b, prec) == mpi_mid((x, y), prec)
+
+    @given(sticky_gap_pairs())
+    @settings(max_examples=600, deadline=None)
+    # 1 less just over half the spacing below it: a sticky bit in its place
+    # would round to nearest at 1, not at 1 - 2^-53
+    @example((53, (1, 0), (-((1 << 53) - 1), -106)))
+    @example((53, (-((1 << 53) - 1), -106), (1, 0)))
+    def test_add_around_the_sticky_cutoff(self, case):
+        prec, a, b = case
+        x, y = from_man_exp(*a), from_man_exp(*b)
+        for up, rnd in ((True, round_ceiling), (False, round_floor), (None, round_nearest)):
+            assert from_man_exp(*_add(a, b, prec, up)) == mpf_add(x, y, prec, rnd)
 
     @given(endpoint_pairs())
     @settings(max_examples=400, deadline=None)

@@ -18,11 +18,14 @@ from seqrac import (
     SharpObservable,
     delta_pair,
     lemma2_violation_probe,
+    marginals,
     nonselective_step,
     per_bob_success,
     propagate,
     square_preparations,
 )
+from seqrac.rac import BITS
+from seqrac.sequential import ALIGNMENT_TOL
 
 X = SharpObservable.from_axis((1.0, 0.0, 0.0))
 Z = SharpObservable.from_axis((0.0, 0.0, 1.0))
@@ -193,6 +196,71 @@ class TestGuards:
     def test_probe_bypasses_alignment(self):
         steps = [SequentialChannelStep(Z, X, 0.5)]
         lemma2_violation_probe(square_preparations(0.3), steps)
+
+
+def tilted_family(omega, r, y, tilt):
+    """``square_preparations(omega, r)`` with its bit-``y`` marginal difference
+    moved ``tilt`` off its axis, along the y axis, which no step measures."""
+    c, s = math.cos(omega), r * math.sin(omega)
+    return PreparationFamily.from_bloch_vectors(
+        [((-1) ** x1 * c, (-1) ** (x1, x2)[y - 1] * tilt / 2, (-1) ** x2 * s) for x1, x2 in BITS]
+    )
+
+
+def object_path_aligned(prep, step):
+    """The alignment decision made on DensityOp marginals: unhalved
+    differences, compared with ALIGNMENT_TOL as they are."""
+    for y, obs in ((1, step.b1), (2, step.b2)):
+        m0, m1 = marginals(prep, y)
+        d = [a - b for a, b in zip(m0.bloch_vector, m1.bloch_vector)]
+        along = sum(a * c for a, c in zip(obs.bloch, d))
+        perp = [c - along * a for a, c in zip(obs.bloch, d)]
+        if math.hypot(*perp) > ALIGNMENT_TOL or along < -ALIGNMENT_TOL:
+            return False
+    return True
+
+
+omegas = st.floats(min_value=1e-3, max_value=math.pi / 2 - 1e-3)
+radii = st.floats(min_value=0.05, max_value=1.0)
+
+
+class TestAlignmentTolerance:
+    @given(omegas, radii, st.sampled_from([1, 2]))
+    @settings(max_examples=100, deadline=None)
+    def test_tilts_either_side_of_the_tolerance(self, omega, r, y):
+        steps = steps_for([0.5])
+        propagate(tilted_family(omega, r, y, 0.5e-9), steps)
+        with pytest.raises(AlignmentError, match=f"bit-{y} "):
+            propagate(tilted_family(omega, r, y, 2e-9), steps)
+
+    def test_anti_aligned_family_rejected(self):
+        steps = [SequentialChannelStep(SharpObservable.from_axis((-1.0, 0.0, 0.0)), Z, 0.5)]
+        with pytest.raises(AlignmentError, match="bit-1 "):
+            propagate(square_preparations(0.3), steps)
+
+    @given(
+        omegas,
+        radii,
+        st.sampled_from([1, 2]),
+        st.one_of(
+            st.floats(min_value=0.0, max_value=4e-9),
+            st.sampled_from([ALIGNMENT_TOL, math.nextafter(ALIGNMENT_TOL, 1.0)]),
+        ),
+        st.floats(min_value=-2e-9, max_value=2e-9),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_decisions_match_the_object_path(self, omega, r, y, tilt, phi):
+        # phi turns both step axes in the x-z plane, off both differences
+        b1 = SharpObservable.from_axis((math.cos(phi), 0.0, math.sin(phi)))
+        b2 = SharpObservable.from_axis((-math.sin(phi), 0.0, math.cos(phi)))
+        prep = tilted_family(omega, r, y, tilt)
+        step = SequentialChannelStep(b1, b2, 0.5)
+        try:
+            propagate(prep, [step])
+            accepted = True
+        except AlignmentError:
+            accepted = False
+        assert accepted == object_path_aligned(prep, step)
 
 
 class TestTiltedNegativeControl:

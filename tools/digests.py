@@ -25,7 +25,7 @@ must match).  Near lam = 1, where the float sqrt(1 - lam^2)
 cancels, ``sequence`` and a ``simulate`` run at each lam in
 {0.9999841142108734, 1 - 2^-20, 1.0}.  Then ``schedule --omega <omega_dec>``
 re-runs the auto run for n in {6, 13, 24} at (r, epsilon) = (0.3, 1e-6) and
-(1, 0.01) from its printed angle.  Last, ``simulate`` runs: 16 receivers
+(1, 0.01) from its printed angle.  Then ``simulate`` runs: 16 receivers
 over four shards; lambdas 0.5, 1, 1 on pure states (r = 1), where the
 last receiver meets unsharp branches of probability 0; and 11 and 12
 receivers over three shards plus a tail shard, on either side of the
@@ -34,6 +34,9 @@ Then ``schedule --n 1`` at four angles whose ``omega_dec`` pins the decimal
 printer's edges: the exact tie 389347099 * 2^-31, which rounds up to
 ...938; 1.5e-10, in exponent form; and values that carry to 0.000000001
 and to 1.0, across the fixed/exponent boundary and to the next digit.
+Last, ``thresholds --grid 7 --delta2`` at 0, 0.6 and 1, which no other run
+covers (``inf`` thresholds and both ``simplex_violated`` values), and
+``region --resolution 2``, the smallest grid.
 """
 
 import contextlib
@@ -128,6 +131,9 @@ def main() -> None:
     ):
         runs.append((("simulate", "--config", CONFIG, "--out", OUT), config))
     runs += [(("schedule", "--n", "1", "--omega", omega, "--out", OUT), None) for omega in DEC_EDGES]
+    runs += [(("thresholds", "--grid", "7", "--delta2", d2, "--out", OUT), None)
+             for d2 in ("0", "0.6", "1")]
+    runs.append((("region", "--resolution", "2", "--out", OUT), None))
     for i, (argv, config) in enumerate(runs):
         shutil.rmtree(work, ignore_errors=True)
         out.mkdir(parents=True)
