@@ -493,8 +493,8 @@ def main(argv=None) -> int:
             }
             (out / f"{args.command}_manifest.json").write_text(_json(manifest))
         return code
-    except (SeqracError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (SeqracError, OSError, MemoryError, OverflowError) as exc:  # the last two: too big to compute
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
 
 

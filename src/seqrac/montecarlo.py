@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 from .bloch import DensityOp
 from .channel import SequentialChannelStep, _disturbance, nonselective_step
-from .errors import AxisError, DomainError
+from .errors import AxisError, DomainError, check_count
 from .rac import BITS, PreparationFamily
 from .sequential import _check_axes, propagate
 
@@ -44,8 +44,7 @@ class SimulationConfig:
     def __post_init__(self):
         if not self.steps:
             raise DomainError("at least one receiver step is required")
-        if self.shots < 1:
-            raise DomainError("shots must be >= 1")
+        check_count(self.shots, "shots")
         if not 0 <= self.seed < 1 << 64:
             raise DomainError(f"seed {self.seed} outside [0, 2^64)")
         # The kernel works in the frame of steps[0]'s axes
@@ -154,8 +153,7 @@ def run(config: SimulationConfig, threads: int = 1) -> SimulationResult:
     >= 1, for callers that still pass it."""
     import numpy as np
 
-    if threads < 1:
-        raise DomainError(f"thread count {threads} must be >= 1")
+    check_count(threads, "thread count")
     shots, n_rec = config.shots, len(config.steps)
     group, size = _kernel(config), max(1, SHARD_SIZE // ((12 << n_rec) - 8))
     n_shards = -(-shots // SHARD_SIZE)

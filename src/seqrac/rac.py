@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .bloch import DensityOp, distinguishability
 from .channel import UnsharpBinaryMeasurement
-from .errors import DomainError
+from .errors import DomainError, check_count, check_r
 
 THRESHOLD_DENOM_TOL = 1e-15
 QUANTUM_DISC_TOL = 1e-9
@@ -63,11 +63,9 @@ def square_preparations(omega: float, r: float = 1.0) -> PreparationFamily:
     ``(cos(omega), r sin(omega))``; the states are pure iff ``r = 1``.
     """
     omega = float(omega)
-    r = float(r)
     if not 0.0 < omega < math.pi / 2:
         raise DomainError(f"omega {omega} outside (0, pi/2)")
-    if not 0.0 < r <= 1.0:
-        raise DomainError(f"r {r} outside (0, 1]")
+    r = check_r(float(r))
     c, s = math.cos(omega), r * math.sin(omega)
     vectors = [((-1) ** x1 * c, 0.0, (-1) ** x2 * s) for x1, x2 in BITS]
     return PreparationFamily.from_bloch_vectors(vectors)
@@ -207,7 +205,5 @@ def theorem1_sampler(count: int, seed: int, pure: bool = False) -> float:
     The bound asserts this never exceeds 1; pure-state sampling covers the
     saturating boundary, ball-uniform sampling the interior.
     """
-    if count < 1:
-        raise DomainError("count must be >= 1")
-    vectors = sample_bloch_vectors(count, seed, pure=pure)
+    vectors = sample_bloch_vectors(check_count(count, "count"), seed, pure=pure)
     return float(_family_delta_sq(vectors).max())

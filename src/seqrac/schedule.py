@@ -27,8 +27,8 @@ and P_k = 3/4 + eps W_k / 4 exactly.  The proof runs first; the report, built
 after it, holds interval midpoints, but each success is 3/4 + its margin eps W_k / 4,
 rounded to nearest, not a midpoint.  Each step squares a doubly-exponential quantity,
 so the relative error doubles per receiver; the working precision is ``dps`` plus
-``ceil(n log10 2)`` digits to cover that loss, plus guard digits.
-mpmath is imported on first use, so importing this module stays cheap.
+``ceil(n log10 2)`` digits to cover that loss, plus guard digits.  One reader converts
+omega, r and epsilon at that precision, strings to every digit.  mpmath loads on first use.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import DomainError, SearchExhausted
+from .errors import DomainError, SearchExhausted, check_count, check_r
 from .rac import DistinguishabilityPair
 from .smallangle import leading_coefficient_numeric
 
@@ -77,20 +77,23 @@ class Schedule:
     first_failure: Optional[int]
 
 
-def _check_r_epsilon(r: mp.mpf, epsilon: mp.mpf) -> None:
-    if not 0 < r <= 1:
-        raise DomainError(f"r {r} outside (0, 1]")
+def _read(name: str, value) -> mp.mpf:
+    """``value`` as an mpf at the working precision, a string to every digit it spells."""
+    import mpmath as mp
+
+    try:
+        return mp.mpf(value)
+    except (ValueError, TypeError) as exc:
+        raise DomainError(f"bad {name} {value!r}") from exc
+
+
+def _read_r_epsilon(r, epsilon) -> tuple:
+    r, epsilon = check_r(_read("r", r)), _read("epsilon", epsilon)
     if not epsilon > 0:
         raise DomainError("epsilon must be > 0")
     if not epsilon < math.inf:
         raise DomainError(f"epsilon {epsilon} is not finite")
-
-
-def _check_n(n) -> int:
-    n = int(n)
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    return n
+    return r, epsilon
 
 
 def _working_dps(n: int, dps: int) -> int:
@@ -163,7 +166,7 @@ def _mid(a: tuple, b: tuple, prec: int) -> tuple:
 def lambda_sequence(omega, r, epsilon, n: int, dps: int = DEFAULT_DPS) -> Schedule:
     """Build the schedule for ``n`` receivers at opening angle ``omega``.
 
-    A string ``omega`` is read at the working precision, not as a double.
+    ``omega``, ``r`` and ``epsilon`` are read at the working precision, not as doubles.
     From one interval cos/sin of ``omega/2`` the recurrence runs on int endpoint
     pairs at ``_working_dps(n, dps)`` digits, without ``mp.iv``, and only proves:
     the schedule is infeasible at, and cut after, the first receiver whose lam is
@@ -173,16 +176,12 @@ def lambda_sequence(omega, r, epsilon, n: int, dps: int = DEFAULT_DPS) -> Schedu
     import mpmath as mp
     from mpmath.libmp import mpf_shift, mpi_cos_sin
 
-    n = _check_n(n)
+    n = check_count(n, "n")
     with mp.workdps(_working_dps(n, dps)):
-        try:
-            omega = mp.mpf(omega)
-        except ValueError as exc:
-            raise DomainError(f"bad omega {omega!r}") from exc
-        r, epsilon = mp.mpf(r), mp.mpf(epsilon)
+        omega = _read("omega", omega)
         if not 0 < omega < mp.pi / 2:
             raise DomainError(f"omega {omega} outside (0, pi/2)")
-        _check_r_epsilon(r, epsilon)
+        r, epsilon = _read_r_epsilon(r, epsilon)
         prec, h = mp.mp.prec, mpf_shift(omega._mpf_, -1)  # omega/2, exact
         # From here each end is a (mantissa, exponent) int pair: *_lo rounds down, *_hi up
         (c_lo, c_hi), (s_lo, s_hi) = ([x[1:3] for x in iv] for iv in mpi_cos_sin((h, h), prec))
@@ -253,11 +252,9 @@ def find_omega(n: int, r, epsilon) -> Schedule:
     """
     import mpmath as mp
 
-    n = _check_n(n)
+    n = check_count(n, "n")
     with mp.workdps(_working_dps(n, DEFAULT_DPS)):
-        r = mp.mpf(r)
-        epsilon = mp.mpf(epsilon)
-        _check_r_epsilon(r, epsilon)
+        r, epsilon = _read_r_epsilon(r, epsilon)
         target = 1 - mp.mpf(10) ** -TARGET_DIGITS
         stop = mp.mpf(10) ** (8 - TARGET_DIGITS)
         if n == 1:

@@ -27,7 +27,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, check_count, check_r
 
 # On one Xeon core P_12 builds in 0.6-0.9 s and P_13 in 5-9 s; from k = 14
 # on the numerators pass Python's 4300-digit int->str limit.
@@ -48,13 +48,6 @@ class RationalPolynomial:
             for j, b in enumerate(other.coefficients):
                 out[i + j] += a * b
         return RationalPolynomial(tuple(out))
-
-
-def _check_order(k: int) -> int:
-    k = int(k)
-    if k < 1:
-        raise DomainError(f"order {k} must be >= 1")
-    return k
 
 
 def _kronecker_square(coeffs: list[int]) -> list[int]:
@@ -89,7 +82,7 @@ def small_angle_poly(k: int) -> RationalPolynomial:
     """The exact polynomial P_k of the quadratic recurrence."""
     from fractions import Fraction
 
-    k = _check_order(k)
+    k = check_count(k, "order")
     if k > POLY_CAP:
         raise DomainError(f"polynomial order {k} outside [1, {POLY_CAP}]")
     den = 1 << (k - 1)
@@ -134,7 +127,7 @@ def leading_coefficient_numeric(k: int, c1) -> mp.mpf:
     import mpmath as mp
     from mpmath.libmp import fone, mpf_add, mpf_mul, mpf_shift, round_nearest
 
-    k = _check_order(k)
+    k = check_count(k, "order")
     c1 = mp.mpf(c1)
     if not 0 < c1 < mp.inf:  # nan and +inf fail too, instead of returning themselves
         raise DomainError(f"c1 must be positive and finite, not {c1}")
@@ -161,13 +154,12 @@ def omega_estimate(k: int, r: float, epsilon: float):
     """
     import mpmath as mp
 
-    k = _check_order(k)
-    if not 0 < r <= 1:
-        raise DomainError(f"r {r} outside (0, 1]")
+    k = check_count(k, "order")
+    check_r(r)
     if not 0 <= epsilon < math.inf:  # also rejects nan
         raise DomainError(f"epsilon {epsilon} must be finite and >= 0")
     with mp.workdps(40):
-        c = 1 / (2 * mp.mpf(r))
+        c = mp.mpf(0.5) / r  # 1/(2r), rounded once
         x, dx = c * c, 2 * c
         p, dp = mp.mpf(1), mp.mpf(0)
         for j in range(2, k + 1):
@@ -175,4 +167,4 @@ def omega_estimate(k: int, r: float, epsilon: float):
             p, dp = p + s * x * p * p, dp + s * (dx * p * p + 2 * x * p * dp)
         scale = mp.mpf(2) ** (k - 1)
         ck, dck = scale * c * p, scale * (p + c * dp)
-        return _float_if_normal(1 / (ck + mp.mpf(epsilon) * c * dck))
+        return _float_if_normal(1 / (ck + epsilon * c * dck))

@@ -95,6 +95,10 @@ class TestDensityOp:
         with pytest.raises(InvalidState):
             DensityOp.from_bloch((math.nan, 0.0, 0.0))
 
+    def test_rejects_trace_part_other_than_half(self):
+        with pytest.raises(InvalidState, match="trace_part = 1/2"):
+            DensityOp(0.3, (0.0, 0.0, 0.0))
+
     def test_boundary_pure_state_accepted(self):
         v = 1.0 / math.sqrt(3.0)
         rho = DensityOp.from_bloch((v, v, v))
@@ -110,6 +114,12 @@ class TestSharpObservable:
     def test_rejects_nan_axis(self):
         with pytest.raises(InvalidState):
             SharpObservable.from_axis((math.nan, 0.0, 1.0))
+
+    def test_rejects_trace_part_and_null_axis(self):
+        with pytest.raises(InvalidState, match="traceless"):
+            SharpObservable(0.5, (1.0, 0.0, 0.0))
+        with pytest.raises(DegeneratePair, match="null axis"):
+            SharpObservable.from_axis((0, 0, 0))
 
     def test_square_is_identity(self):
         b = SharpObservable.from_axis((1.0, 2.0, -2.0))

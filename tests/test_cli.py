@@ -302,6 +302,31 @@ class TestScheduleCommand:
         assert main(argv) == EXIT_INFEASIBLE
         assert "no certified omega" in capsys.readouterr().err
 
+    def test_exhausted_search_exits_infeasible(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(seqrac.schedule, "MAX_EVALS", 1)
+        assert main(["schedule", "--n", "5", "--out", str(tmp_path)]) == EXIT_INFEASIBLE
+        assert capsys.readouterr().err == (
+            "infeasible: no certified omega for n=5 after 1 evaluations\n")
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "exc, message",
+        [(MemoryError(), "MemoryError"),
+         (OverflowError("too many digits in integer"), "too many digits in integer")],
+        ids=["MemoryError", "OverflowError"],
+    )
+    def test_count_too_big_to_compute_is_usage(self, tmp_path, monkeypatch, capsys, exc, message):
+        # a real --n 99999999999999 would allocate about 3e13 digits; the search
+        # is replaced by one that raises what that run raised
+        def too_big(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(seqrac.cli, "find_omega", too_big)
+        argv = ["schedule", "--n", "99999999999999", "--out", str(tmp_path)]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize(
         "n, r, eps", [(2, "0.7", "1e-3"), (6, "0.7", "1e-3"), (13, "1", "1e-4"), (24, "0.3", "1e-6")]
     )
@@ -697,6 +722,18 @@ class TestExitCodes:
         # argparse takes "-1e-3" after a space for a flag; README documents the = form
         assert main([*argv, "--out", str(tmp_path)]) == EXIT_USAGE
         assert capsys.readouterr().err == "error: omega -0.001 outside (0, pi/2)\n"
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["thresholds", "--grid", "1"], "grid must be >= 2"),
+         (["region", "--resolution", "1"], "resolution must be >= 2"),
+         (["sequence", "--omega", "0.3", "--lambdas", ","], "empty lambda list")],
+        ids=["grid", "resolution", "lambdas"],
+    )
+    def test_too_few_points_or_receivers_is_usage(self, tmp_path, capsys, argv, message):
+        assert main([*argv, "--out", str(tmp_path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not any(tmp_path.iterdir())
 
     def test_uncreatable_out_is_usage(self, tmp_path, capsys):

@@ -63,6 +63,16 @@ class TestConfigValidation:
         with pytest.raises(DomainError):
             SimulationConfig(prep, (SequentialChannelStep(X, Z, 0.5),), 0, 1)
 
+    def test_shot_and_thread_counts_are_integers(self):
+        # 2.5 shots ended in a TypeError inside run, and threads=1.5 was accepted
+        step = (SequentialChannelStep(X, Z, 0.5),)
+        with pytest.raises(DomainError, match="^shots 2.5 is not an integer >= 1$"):
+            SimulationConfig(square_preparations(0.3), step, 2.5, 1)
+        config = SimulationConfig(square_preparations(0.3), step, np.int64(100), 1)
+        with pytest.raises(DomainError, match="^thread count 1.5 is not an integer >= 1$"):
+            run(config, threads=1.5)
+        assert run(config) == run(SimulationConfig(square_preparations(0.3), step, 100, 1))
+
     def test_steps_must_share_axes(self):
         prep = square_preparations(0.3)
         steps = (SequentialChannelStep(X, Z, 0.5), SequentialChannelStep(Z, X, 0.5))

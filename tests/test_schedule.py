@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import re
 
 import mpmath as mp
 import pytest
@@ -18,6 +19,7 @@ from seqrac import (
     DistinguishabilityPair,
     DomainError,
     Schedule,
+    SearchExhausted,
     SequentialChannelStep,
     SharpObservable,
     feasibility_report,
@@ -110,6 +112,28 @@ class TestLambdaSequence:
             lambda_sequence(omega, 1, 1e-4, 3)
 
 
+class TestInputRules:
+    """``lambda_sequence`` and ``find_omega`` read r and epsilon as they read omega,
+    and take only an integer count: neither a bare ValueError nor a truncated n."""
+
+    @pytest.mark.parametrize(
+        "r, epsilon, bad", [("abc", 1e-4, "r 'abc'"), (1, "1e-4x", "epsilon '1e-4x'"),
+                            (None, 1e-4, "r None")],
+        ids=["r-abc", "epsilon-1e-4x", "r-None"],
+    )
+    @pytest.mark.parametrize("search", [False, True], ids=["lambda_sequence", "find_omega"])
+    def test_malformed_r_or_epsilon(self, search, r, epsilon, bad):
+        with pytest.raises(DomainError, match=f"^bad {re.escape(bad)}$"):
+            find_omega(3, r, epsilon) if search else lambda_sequence(0.1, r, epsilon, 3)
+
+    @pytest.mark.parametrize("n", [2.7, 2.9, 3.0, "3", mp.mpf(3)], ids=repr)
+    @pytest.mark.parametrize("search", [False, True], ids=["lambda_sequence", "find_omega"])
+    def test_count_is_not_truncated(self, search, n):
+        # find_omega(2.9, ...) returned a 2-receiver schedule
+        with pytest.raises(DomainError, match=f"^n {re.escape(repr(n))} is not an integer >= 1$"):
+            find_omega(n, 1, 1e-3) if search else lambda_sequence(0.1, 1, 1e-4, n)
+
+
 class TestFindOmega:
     def test_quartic_boundary_location(self):
         s = find_omega(4, 1.0, 1e-4)
@@ -150,9 +174,14 @@ class TestFindOmega:
         # with dps 50 as the working precision at every n, 1 - lam_100 read
         # 5.5e-23 at dps 50 against 1.4e-22 at dps 100
         w = find_omega(100, 1.0, 1e-4).omega
-        gaps = [float(1 - lambda_sequence(w, 1.0, 1e-4, 100, dps=d).lambdas[-1]) for d in (50, 100)]
+        runs = [lambda_sequence(w, 1.0, 1e-4, 100, dps=d) for d in (50, 100)]
+        gaps = [float(1 - s.lambdas[-1]) for s in runs]
         assert gaps[0] == pytest.approx(gaps[1], rel=1e-3, abs=0)
         assert gaps[1] == pytest.approx(1e-25, rel=1e-3, abs=0)
+        # every lam keeps its 50 digits; without the n term of the working
+        # precision they agreed only to 2e-32
+        with mp.workdps(100):
+            assert all(abs(a - b) <= mp.mpf("1e-50") * b for a, b in zip(*(s.lambdas for s in runs)))
 
     def test_domain_checks_name_the_bad_parameter(self):
         with pytest.raises(DomainError, match=r"^r -1\.0 outside"):
@@ -163,6 +192,24 @@ class TestFindOmega:
             find_omega(3, 1.0, 0.0)
         with pytest.raises(DomainError, match="epsilon must be > 0"):
             find_omega(3, 1.0, -1e-4)
+
+    def test_bisects_then_halves_the_lower_end(self, monkeypatch):
+        # a first point 2.5 times too far out fails at receiver 1, so the search
+        # bisects while the upper end has no value, then an Illinois step halves
+        # the lower end's value; it lands where the unpatched search does
+        want = find_omega(2, 0.7, 1e-3).omega
+        c_n = seqrac.schedule.leading_coefficient_numeric
+        monkeypatch.setattr(seqrac.schedule, "leading_coefficient_numeric",
+                            lambda k, c1: c_n(k, c1) / 2.5)
+        s = find_omega(2, 0.7, 1e-3)
+        assert s.feasible and 1 - s.lambdas[-1] <= mp.mpf("1e-17")
+        assert abs(s.omega - want) <= mp.mpf("1e-16") * want
+
+    def test_exhausted_search_raises(self, monkeypatch):
+        monkeypatch.setattr(seqrac.schedule, "MAX_EVALS", 1)
+        with pytest.raises(SearchExhausted) as info:
+            find_omega(5, 1.0, 1e-4)
+        assert str(info.value) == "no certified omega for n=5 after 1 evaluations"
 
     def test_monotone_in_receiver_count(self):
         angles = [find_omega(n, 1.0, 1e-4).omega for n in (2, 3, 4, 5)]

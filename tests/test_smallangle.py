@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import mpmath as mp
@@ -48,6 +49,19 @@ class TestRationalPolynomial:
 
 
 class TestRecurrence:
+    @pytest.mark.parametrize("k", [2.7, 3.0, "3"], ids=repr)
+    @pytest.mark.parametrize(
+        "call",
+        [small_angle_poly, lambda k: leading_coefficient(k, 0.5),
+         lambda k: leading_coefficient_numeric(k, 0.5), lambda k: omega_estimate(k, 1.0, 1e-4)],
+        ids=["small_angle_poly", "leading_coefficient", "leading_coefficient_numeric",
+             "omega_estimate"],
+    )
+    def test_order_is_not_truncated(self, call, k):
+        # small_angle_poly(2.7) returned P_2
+        with pytest.raises(DomainError, match=f"^order {re.escape(repr(k))} is not an integer >= 1$"):
+            call(k)
+
     def test_first_polynomials_exact(self):
         assert small_angle_poly(1).coefficients == (F(1),)
         assert small_angle_poly(2).coefficients == (F(1), F(1, 2))
