@@ -191,14 +191,14 @@ def _schedule_payload(s) -> dict:
 
 
 def cmd_schedule(args) -> Output:
-    if args.omega == "auto":
-        try:
-            s = find_omega(args.n, args.r, args.epsilon)
-        except SearchExhausted as exc:
-            print(f"infeasible: {exc}", file=sys.stderr)
-            return EXIT_INFEASIBLE, {}, {}
-    else:
-        s = lambda_sequence(args.omega, args.r, args.epsilon, args.n)
+    try:
+        s = (find_omega(args.n, args.r, args.epsilon) if args.omega == "auto"
+             else lambda_sequence(args.omega, args.r, args.epsilon, args.n))
+    except SearchExhausted as exc:
+        print(f"infeasible: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE, {}, {}
+    except (MemoryError, OverflowError) as exc:  # digits Python cannot allocate, or an int it cannot build
+        raise DomainError(str(exc) or type(exc).__name__) from exc
     payload = _schedule_payload(s)
     keys = ("k", "lambda", "m_product", "delta1", "delta2", "success", "success_margin_dec")
     rows = [[rec[key] for key in keys] for rec in payload["receivers"]]
@@ -493,8 +493,8 @@ def main(argv=None) -> int:
             }
             (out / f"{args.command}_manifest.json").write_text(_json(manifest))
         return code
-    except (SeqracError, OSError, MemoryError, OverflowError) as exc:  # the last two: too big to compute
-        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+    except (SeqracError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -315,17 +315,30 @@ class TestScheduleCommand:
          (OverflowError("too many digits in integer"), "too many digits in integer")],
         ids=["MemoryError", "OverflowError"],
     )
-    def test_count_too_big_to_compute_is_usage(self, tmp_path, monkeypatch, capsys, exc, message):
-        # a real --n 99999999999999 would allocate about 3e13 digits; the search
-        # is replaced by one that raises what that run raised
+    @pytest.mark.parametrize("omega", ["auto", "0.1"])
+    def test_count_too_big_to_compute_is_usage(self, tmp_path, monkeypatch, capsys, exc, message,
+                                               omega):
+        # a real --n 99999999999999 would allocate about 3e13 digits; the
+        # computation is replaced by one that raises what that run raised
         def too_big(*args, **kwargs):
             raise exc
 
         monkeypatch.setattr(seqrac.cli, "find_omega", too_big)
-        argv = ["schedule", "--n", "99999999999999", "--out", str(tmp_path)]
+        monkeypatch.setattr(seqrac.cli, "lambda_sequence", too_big)
+        argv = ["schedule", "--n", "99999999999999", "--omega", omega, "--out", str(tmp_path)]
         assert main(argv) == EXIT_USAGE
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not any(tmp_path.iterdir())
+
+    def test_overflow_outside_the_schedule_is_not_usage(self, monkeypatch):
+        # only the schedule's computation maps the size errors; elsewhere an
+        # OverflowError is a fault and keeps its traceback
+        def overflow(*args, **kwargs):
+            raise OverflowError("Python int too large to convert to C long")
+
+        monkeypatch.setattr(seqrac.cli, "thresholds", overflow)
+        with pytest.raises(OverflowError):
+            main(["thresholds", "--grid", "3"])
 
     @pytest.mark.parametrize(
         "n, r, eps", [(2, "0.7", "1e-3"), (6, "0.7", "1e-3"), (13, "1", "1e-4"), (24, "0.3", "1e-6")]

@@ -2,7 +2,7 @@
 
 Usage, from anywhere:
 
-    python tools/mutants.py [NAME ...]
+    python tools/mutants.py
 
 Each mutant changes one line of a file under ``src/seqrac``: the line is the
 only one that contains the mutant's anchor, and the ``nth`` occurrence of
@@ -24,9 +24,8 @@ equivalent carries the reason no test can kill it.
 It prints one line per mutant (killed or survived, seconds, and the first
 failing test, or the reason a survivor is equivalent); tests that run past
 TIMEOUT_S kill their mutant.  It exits 1 if a mutant that is not marked
-equivalent survives, or if the list is stale.  Mutants run two at a time; NAME
-arguments run only the mutants whose names start with one of them.  Standard
-library only; about 3.5 minutes on 2 CPUs.
+equivalent survives, or if the list is stale.  It always runs the whole list,
+two mutants at a time.  Standard library only; about 3.5 minutes on 2 CPUs.
 """
 
 from __future__ import annotations
@@ -181,9 +180,8 @@ def run_tests(m: Optional[Mutant], tests: tuple, scratch: Path) -> tuple:
 
 
 def main() -> int:
-    chosen = [m for m in MUTANTS if not sys.argv[1:] or m.name.startswith(tuple(sys.argv[1:]))]
     stale = []
-    for m in chosen:
+    for m in MUTANTS:
         try:
             mutate((ROOT / "src" / "seqrac" / m.file).read_text(), m)
         except ValueError as exc:
@@ -192,16 +190,16 @@ def main() -> int:
         print("\n".join(stale))
         return 1
     with tempfile.TemporaryDirectory(prefix="seqrac-mutants-") as scratch:
-        tests = tuple(dict.fromkeys(t for m in chosen for t in m.tests))
+        tests = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
         code, seconds, failed = run_tests(None, tests, Path(scratch))
         print(f"baseline  {' '.join(tests)}: exit {code} in {seconds:.1f} s")
         if code != 0:
             print(f"the unmutated tests fail ({failed}); no mutant can be judged")
             return 1
         with ThreadPoolExecutor(max_workers=2) as pool:
-            results = pool.map(lambda m: run_tests(m, m.tests, Path(scratch)), chosen)
+            results = pool.map(lambda m: run_tests(m, m.tests, Path(scratch)), MUTANTS)
             bad = 0
-            for m, (code, seconds, failed) in zip(chosen, results):
+            for m, (code, seconds, failed) in zip(MUTANTS, results):
                 if code == 0:
                     verdict = "survived" + (" (equivalent)" if m.equivalent else "")
                     bad += not m.equivalent
@@ -211,7 +209,7 @@ def main() -> int:
                     verdict, bad = f"error {code}", bad + 1
                 print(f"{verdict:<22}{seconds:5.1f} s  {m.name:<44}{failed or m.equivalent or ''}",
                       flush=True)
-    print(f"{len(chosen)} mutants, {bad} not killed and not marked equivalent")
+    print(f"{len(MUTANTS)} mutants, {bad} not killed and not marked equivalent")
     return 1 if bad else 0
 
 
