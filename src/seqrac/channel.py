@@ -33,8 +33,9 @@ def _check_lambda(lam: float) -> float:
 def _disturbance(lam: float) -> tuple[float, float]:
     """``(sqrt(1-lam^2), 1 - sqrt(1-lam^2))``: the transverse shrink an
     unsharp measurement applies, and its complement, the latter written
-    without cancellation for small ``lam``."""
-    root = math.sqrt(1.0 - lam * lam)
+    without cancellation for small ``lam``; ``1 - lam^2`` is formed as
+    ``(1 - lam)(1 + lam)``, which does not cancel near ``lam = 1``."""
+    root = math.sqrt((1.0 - lam) * (1.0 + lam))
     return root, lam * lam / (1.0 + root)
 
 

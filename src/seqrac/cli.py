@@ -442,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_simulate)
     p.add_argument("--config", required=True)
     p.add_argument("--threads", type=int, default=1,
-                   help="accepted (an integer >= 1) but has no effect: shards run serially")
+                   help="accepted (an integer >= 1) but has no effect: a run is one stream")
     p.add_argument("--out", default=".")
 
     p = add_parser("poly", help="exact small-angle polynomial table")

@@ -11,11 +11,14 @@ counts and post-state sums then have exactly the joint distribution of
 shot-by-shot sampling (the conditional-binomial construction of the
 multinomial; L. Devroye, *Non-Uniform Random Variate Generation*, 1986).
 
-Randomness comes from counter-based Philox streams keyed by
-``(seed, shard_index)`` over shards of ``SHARD_SIZE`` shots.  Consecutive shards
-run in lockstep groups that share one ``_split`` per receiver; their results are
-added in shard order, as if run one by one, and memory stays flat for any shot count.
-numpy is imported on first use, so importing this module stays cheap.
+Randomness comes from one counter-based Philox stream keyed by the seed.  It
+splits the run's shots over the four inputs, then makes one ``multinomial``
+call per receiver over every live node.  A node list longer than
+``SHARD_SIZE`` is cut into blocks, walked depth first (a block's children pass
+the next receiver before the next block starts), so memory stays bounded and
+the stream is a function of (seed, config) alone.  Post-state sums are numpy
+row sums, not BLAS products, so they do not depend on the CPU.  numpy is
+imported on first use, so importing this module stays cheap.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ from .errors import AxisError, DomainError, check_count
 from .rac import BITS, PreparationFamily
 from .sequential import _check_axes, propagate
 
-RNG_ALGORITHM = "philox4x64/shard65536/multinomial-split"
-SHARD_SIZE = 1 << 16
+RNG_ALGORITHM = "philox4x64/run-stream/multinomial-split"
+SHARD_SIZE = 1 << 16  # the most nodes one multinomial call splits
 
 
 @dataclass(frozen=True)
@@ -44,7 +47,8 @@ class SimulationConfig:
     def __post_init__(self):
         if not self.steps:
             raise DomainError("at least one receiver step is required")
-        check_count(self.shots, "shots")
+        if check_count(self.shots, "shots") >= 1 << 63:  # multinomial takes an int64
+            raise DomainError(f"shots {self.shots} above 2^63 - 1")
         if not 0 <= self.seed < 1 << 64:
             raise DomainError(f"seed {self.seed} outside [0, 2^64)")
         # The kernel works in the frame of steps[0]'s axes
@@ -99,80 +103,62 @@ def _split(states, lam: float):
     return probs, children
 
 
-def _kernel(config: SimulationConfig):
-    """Per-op constants, and ``group(first, sizes)``: shards ``first, ...``
-    of ``sizes[i]`` shots in lockstep, returning their (S, n) success counts
-    and, per shard, the (n, 3) summed post-measurement Bloch vectors per
-    receiver.  A shard's count is 0 at a node of the group it lacks, and a
-    count of 0 draws nothing, so each shard draws what it would alone."""
-    import numpy as np
-
-    # Rows a1, a2, a1 x a2: orthonormal, since the axes anticommute
-    a1, a2 = np.array(config.steps[0].b1.bloch), np.array(config.steps[0].b2.bloch)
-    frame = np.array([a1, a2, np.cross(a1, a2)])
-    prep = np.array([s.bloch_vector for s in config.prep.states]) @ frame.T
-    hits, quads = np.array(_HITS), np.arange(4)[:, None]
-    # Sharp children of one (x, sign) share a state: they merge into 8 nodes,
-    # in the order 2*x + (sign == -1).  Nodes no shard holds are dropped.
-    sharp_x = np.arange(8) >> 1
-    sharp_states = np.tile([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]], (4, 1))
-
-    def group(first: int, sizes: list[int]):
-        keys = (np.array([config.seed, first + i], dtype=np.uint64) for i in range(len(sizes)))
-        rngs = [np.random.Generator(np.random.Philox(key=key)) for key in keys]
-        counts = np.array([rng.multinomial(m, [0.25] * 4) for rng, m in zip(rngs, sizes)])
-        x = np.flatnonzero(counts.any(axis=0))
-        counts, states = counts[:, x], prep[x]
-        successes = np.zeros((len(sizes), len(config.steps)), dtype=np.int64)
-        post_sums = [np.zeros((len(config.steps), 3)) for _ in sizes]
-        for k, step in enumerate(config.steps):
-            probs, children = _split(states, step.lam)
-            split = np.array([rng.multinomial(c, probs) for rng, c in zip(rngs, counts)])
-            successes[:, k] = (split * hits[x]).sum(axis=(1, 2))
-            sharp = ((x == quads) @ split[:, :, :2]).reshape(len(sizes), 8)
-            x = np.concatenate([sharp_x, np.repeat(x, 2)])
-            states = np.concatenate([sharp_states, children[:, 2:].reshape(-1, 3)])
-            counts = np.concatenate([sharp, split[:, :, 2:].reshape(len(sizes), -1)], axis=1)
-            keep = counts.any(axis=0)
-            x, states, counts = x[keep], states[keep], counts[:, keep]
-            # Shard by shard over its own nodes, to round as a lone shard does
-            for c, post in zip(counts, post_sums):
-                own = c > 0
-                post[k] = c[own] @ states[own]
-        return successes, [post @ frame for post in post_sums]
-
-    return group
-
-
 def run(config: SimulationConfig, threads: int = 1) -> SimulationResult:
-    """Simulate the full protocol; deterministic given (seed, config).  Shards
-    run in lockstep groups of max(1, SHARD_SIZE // (12*2^n - 8)) for n
-    receivers, as a shard holds at most 12*2^n - 8 nodes (4 inputs, then 8
-    sharp nodes and 2 unsharp children per node at each receiver); results
-    are added in shard order.  ``threads`` has no effect; it is accepted, if
-    >= 1, for callers that still pass it."""
+    """Simulate the full protocol; deterministic given (seed, config).
+
+    Nodes entering receiver k number at most min(shots, 12*2^k - 8) (4
+    inputs, then 8 merged sharp nodes and 2 unsharp children per node at each
+    receiver), so up to 13 receivers one block holds them all.  ``threads``
+    has no effect; it is accepted, if >= 1, for callers that still pass it."""
     import numpy as np
 
     check_count(threads, "thread count")
-    shots, n_rec = config.shots, len(config.steps)
-    group, size = _kernel(config), max(1, SHARD_SIZE // ((12 << n_rec) - 8))
-    n_shards = -(-shots // SHARD_SIZE)
-    successes = np.zeros(n_rec, dtype=np.int64)
-    post_sums = np.zeros((n_rec, 3))
-    for first in range(0, n_shards, size):
-        shards = range(first, min(first + size, n_shards))
-        s, p = group(first, [min(SHARD_SIZE, shots - j * SHARD_SIZE) for j in shards])
-        successes += s.sum(axis=0)
-        for post in p:
-            post_sums += post
+    shots, steps = config.shots, config.steps
+    rng = np.random.Generator(np.random.Philox(key=config.seed))
+    # Rows a1, a2, a1 x a2: orthonormal, since the axes anticommute
+    a1, a2 = np.array(steps[0].b1.bloch), np.array(steps[0].b2.bloch)
+    frame = np.array([a1, a2, np.cross(a1, a2)])
+    prep = (np.array([s.bloch_vector for s in config.prep.states])[:, None] * frame).sum(axis=2)
+    hits, quads = np.array(_HITS), np.arange(4)[:, None]
+    # Sharp children of one (x, sign) share a state: they merge into 8 nodes,
+    # in the order 2*x + (sign == -1)
+    sharp_x = np.arange(8) >> 1
+    sharp_states = np.tile([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]], (4, 1))
+    successes = np.zeros(len(steps), dtype=np.int64)
+    post_sums = np.zeros((len(steps), 3))
+
+    counts = rng.multinomial(shots, [0.25] * 4)
+    x = np.flatnonzero(counts)
+    todo = [(0, x, prep[x], counts[x])]  # (receiver, x, states, counts), last in first out
+    while todo:
+        k, x, states, counts = todo.pop()
+        if len(x) > SHARD_SIZE:  # cut into blocks, pushed so the first pops first
+            for i in reversed(range(0, len(x), SHARD_SIZE)):
+                block = slice(i, i + SHARD_SIZE)
+                todo.append((k, x[block], states[block], counts[block]))
+            continue
+        probs, children = _split(states, steps[k].lam)
+        split = rng.multinomial(counts, probs)
+        successes[k] += (split * hits[x]).sum()
+        # An integer product: exact, and no BLAS
+        counts = np.concatenate([((x == quads) @ split[:, :2]).ravel(), split[:, 2:].ravel()])
+        x = np.concatenate([sharp_x, np.repeat(x, 2)])
+        states = np.concatenate([sharp_states, children[:, 2:].reshape(-1, 3)])
+        keep = counts > 0
+        x, states, counts = x[keep], states[keep], counts[keep]
+        # Row sums here and in both frame changes: a float @ goes to BLAS,
+        # whose summation order depends on the CPU
+        post_sums[k] += (states.T * counts).sum(axis=1)
+        if k + 1 < len(steps):
+            todo.append((k + 1, x, states, counts))
 
     stats = []
-    for k in range(n_rec):
+    for k in range(len(steps)):
         p_hat = successes[k] / shots
         se = math.sqrt(p_hat * (1.0 - p_hat) / shots)
         stats.append(ReceiverStats(float(p_hat), se))
-    mean_post = tuple(tuple(float(c) for c in post_sums[k] / shots) for k in range(n_rec))
-    return SimulationResult(tuple(stats), mean_post)
+    mean_post = (post_sums[:, :, None] * frame).sum(axis=1) / shots
+    return SimulationResult(tuple(stats), tuple(tuple(float(c) for c in v) for v in mean_post))
 
 
 def analytic_reference(config: SimulationConfig):

@@ -164,7 +164,7 @@ class TestNonselective:
             SharpObservable.from_axis(axis1), SharpObservable.from_axis(axis2), lam
         )
         a1, a2 = step.b1.bloch, step.b2.bloch
-        root = math.sqrt(1.0 - lam * lam)
+        root = math.sqrt((1.0 - lam) * (1.0 + lam))
         shrink = lam * lam / (1.0 + root)
         v_a1 = sum(a * c for a, c in zip(a1, v))
         v_a2 = sum(a * c for a, c in zip(a2, v))

@@ -134,12 +134,12 @@ class TestPinnedBytes:
              "9543f53f4369e9a4ece1a33406cb97140fbd116395d2ebd3d0099d1cf3a40760"),
             (["sequence", "--omega", "0.3", "--r", "0.9", "--lambdas", "0.3,0.5,0.8,1.0"],
              "sequence.csv",
-             "7e31ada5a9df5c9c1b7e25d2b17d279f7388a2f564d8ca68ad92565a692261dd"),
+             "6444908588820e4c578b4584cf48554d5061f3b28a3a931b9f7cedf42401052b"),
             # near lam = 1, where the float sqrt(1 - lam^2) cancels
             (["sequence", "--omega", "0.3", "--r", "0.9",
               "--lambdas", "0.5,0.9999841142108734,0.9999841142108734"],
              "sequence.csv",
-             "5ed62b5176fe5996a6f28956b260e060bf3c5805e2f20fad2a4b2d6294bae75f"),
+             "418bfd5233ae4afda072f86380b5b3f1c72c21e00aea01a3fcc20eec3035c3de"),
         ],
     )
     def test_csv_digest(self, tmp_path, argv, name, digest):
@@ -191,15 +191,46 @@ class TestPinnedBytes:
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_simulate_csv_digest(self, tmp_path, threads):
-        # 70,000 shots are two shards; simulate.json is not pinned, because
-        # its mean_post_bloch sums depend on numpy's summation order
+        # 70,000 shots over three receivers: one stream, one node block
         cfg = tmp_path / "sim.cfg"
         cfg.write_text("omega = 0.4\nr = 0.9\nlambdas = 0.3,0.6,0.9\nshots = 70000\nseed = 11\n")
         argv = ["simulate", "--config", str(cfg), "--threads", threads, "--out", str(tmp_path)]
         assert main(argv) == EXIT_OK
         assert hashlib.sha256((tmp_path / "simulate.csv").read_bytes()).hexdigest() == (
-            "f4228dd534cb1d1a35f84bb8ab8d052264ef370acbdae09028d9fb83e419a3b9"
+            "2d746830b99ce1e1dc559f9edc148953b0f88717aa6e3972084b21485dbee6dd"
         )
+
+    def test_simulate_json_digest(self, tmp_path):
+        # mean_post_bloch comes from numpy row sums, not BLAS products, so
+        # simulate.json holds on any CPU for one numpy build
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("omega = 0.4\nr = 0.9\nlambdas = 0.3,0.6,0.9\nshots = 70000\nseed = 11\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+        assert hashlib.sha256((tmp_path / "simulate.json").read_bytes()).hexdigest() == (
+            "f3003303fa2469eb9b9875a291f99042b713abaf616b2ec81ee27dc7b27d6169"
+        )
+
+    def test_simulate_json_ignores_the_blas_kernel(self, tmp_path):
+        # OpenBLAS picks its kernels, and so its summation order, by CPU at
+        # run time; OPENBLAS_CORETYPE=Prescott forces another one.  When the
+        # post-state sums were BLAS products, these two runs differed.
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(
+            "omega = 0.3\nr = 0.9\nlambdas = 0.2,0.35,0.5,0.65,0.8,0.95\nshots = 300000\nseed = 6\n"
+        )
+        script = "import sys; from seqrac.cli import main; sys.exit(main(sys.argv[1:]))"
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        env.pop("OPENBLAS_CORETYPE", None)
+        outputs = []
+        for coretype in (None, "Prescott"):
+            out = tmp_path / str(coretype)
+            argv = ["simulate", "--config", str(cfg), "--out", str(out)]
+            extra = {} if coretype is None else {"OPENBLAS_CORETYPE": coretype}
+            proc = subprocess.run([sys.executable, "-c", script, *argv], env={**env, **extra},
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == EXIT_OK, proc.stderr
+            outputs.append((out / "simulate.json").read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 # omega_dec's leading digits at r = 1, epsilon = 1e-4 (for n = 250, as nstr prints them)
@@ -605,6 +636,13 @@ class TestSimulateCommand:
         assert f"error: {cfg}:6: repeated config key 'shots'" in capsys.readouterr().err
         assert not (tmp_path / "simulate.json").exists()
 
+    def test_shots_past_int64_are_usage_error(self, tmp_path, capsys):
+        # numpy's multinomial takes an int64 count
+        cfg = self.write_config(tmp_path, shots=str(2**63))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
+        assert "error: shots 9223372036854775808 above 2^63 - 1" in capsys.readouterr().err
+        assert not (tmp_path / "simulate.json").exists()
+
     def test_non_utf8_config_is_usage_error(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path)
         cfg.write_bytes(cfg.read_bytes() + b"\xff\xfe")
@@ -821,9 +859,8 @@ class TestDeterminism:
 
 # The CLI contract: every argv and every config ends in exit 0, 2 or 64,
 # never in a traceback (verify exits 1 only when an invariant is broken).
-# The vocabulary is bounded so that no example runs more than 4,096 shots
-# (one shard, so one worker thread), --n or --k > 8, --resolution > 40 or
-# --grid > 60.
+# The vocabulary is bounded so that no example runs more than 4,096 shots,
+# --n or --k > 8, --resolution > 40 or --grid > 60.
 ODD_VALUES = ["nan", "inf", "-1", "0", "1e-400", "abc", ""]
 FLAG_VALUES = {
     "--grid": ["2", "60"],

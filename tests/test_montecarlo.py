@@ -1,8 +1,8 @@
-"""Stochastic simulation: convergence, determinism, RNG sharding."""
+"""Stochastic simulation: convergence, determinism, the stream and its node blocks."""
 
 import json
 import math
-import weakref
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +31,6 @@ from seqrac.montecarlo import (
     SHARD_SIZE,
     ReceiverStats,
     SimulationResult,
-    _kernel,
     _split,
 )
 
@@ -73,6 +72,13 @@ class TestConfigValidation:
             run(config, threads=1.5)
         assert run(config) == run(SimulationConfig(square_preparations(0.3), step, 100, 1))
 
+    def test_shots_fit_an_int64(self):
+        # numpy's multinomial takes an int64 count
+        step = (SequentialChannelStep(X, Z, 0.5),)
+        SimulationConfig(square_preparations(0.3), step, 2**63 - 1, 1)
+        with pytest.raises(DomainError, match=r"^shots 9223372036854775808 above 2\^63 - 1$"):
+            SimulationConfig(square_preparations(0.3), step, 2**63, 1)
+
     def test_steps_must_share_axes(self):
         prep = square_preparations(0.3)
         steps = (SequentialChannelStep(X, Z, 0.5), SequentialChannelStep(Z, X, 0.5))
@@ -99,7 +105,7 @@ def frame_of(step):
 
 
 def expected_split(config):
-    """``_shard`` with every multinomial replaced by its mean, and no merging.
+    """``run`` with every multinomial replaced by its mean, and no merging.
 
     Each node ``(x, state, weight)`` starts at weight 1/4 per input; at each
     receiver every ``_split`` branch is checked against ``selective_outcome``
@@ -157,74 +163,94 @@ def channel_reference(config):
     return successes, mean_states
 
 
-def reference_shard(config, shard_index, m):
-    """One shard run alone, one node array at a time: the kernel that the
-    lockstep groups replaced.  Success counts and summed post-measurement
-    Bloch vectors, per receiver, of ``m`` shots."""
-    rng = np.random.Generator(
-        np.random.Philox(key=np.array([config.seed, shard_index], dtype=np.uint64))
-    )
-    frame = frame_of(config.steps[0])
-    prep = np.array([s.bloch_vector for s in config.prep.states]) @ frame.T
-    hits = np.array(_HITS)
-    sharp_x = np.arange(8) >> 1
-    sharp_states = np.tile([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]], (4, 1))
-
-    counts = rng.multinomial(m, [0.25] * 4)
-    x = np.flatnonzero(counts)
-    counts, states = counts[x], prep[x]
-    successes = np.zeros(len(config.steps), dtype=np.int64)
-    post_sums = np.zeros((len(config.steps), 3))
-    for k, step in enumerate(config.steps):
-        probs, children = _split(states, step.lam)
-        split = rng.multinomial(counts, probs)
-        successes[k] = (split * hits[x]).sum()
-        sharp = np.bincount((2 * x[:, None] + (0, 1)).ravel(), split[:, :2].ravel(), 8)
-        x = np.concatenate([sharp_x, np.repeat(x, 2)])
-        states = np.concatenate([sharp_states, children[:, 2:].reshape(-1, 3)])
-        counts = np.concatenate([sharp.astype(np.int64), split[:, 2:].ravel()])
-        keep = counts > 0
-        x, states, counts = x[keep], states[keep], counts[keep]
-        post_sums[k] = counts @ states
-    return successes, post_sums @ frame
-
-
 def reference_run(config):
-    """``run`` with every shard run alone by ``reference_shard`` and added
-    to the totals in shard order."""
-    shots, n_rec = config.shots, len(config.steps)
+    """``run`` written as a recursion: ``walk(k, x, states, counts)`` cuts its
+    nodes into blocks of ``SHARD_SIZE`` and takes each block through receiver
+    k and then, depth first, through every later receiver before the next
+    block starts.  Sharp children are merged by ``np.bincount``."""
+    rng = np.random.Generator(np.random.Philox(key=config.seed))
+    frame, hits, n_rec = frame_of(config.steps[0]), np.array(_HITS), len(config.steps)
+    sharp_states = np.tile([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]], (4, 1))
     successes = np.zeros(n_rec, dtype=np.int64)
     post_sums = np.zeros((n_rec, 3))
-    for j in range(-(-shots // SHARD_SIZE)):
-        s, p = reference_shard(config, j, min(SHARD_SIZE, shots - j * SHARD_SIZE))
-        successes += s
-        post_sums += p
-    p_hat = successes / shots
-    stats = tuple(ReceiverStats(float(p), math.sqrt(p * (1.0 - p) / shots)) for p in p_hat)
-    return SimulationResult(stats, tuple(tuple(float(c) for c in v / shots) for v in post_sums))
+
+    def walk(k, x, states, counts):
+        size = montecarlo.SHARD_SIZE
+        for block in (slice(i, i + size) for i in range(0, len(x), size)):
+            probs, children = _split(states[block], config.steps[k].lam)
+            split = rng.multinomial(counts[block], probs)
+            successes[k] += (split * hits[x[block]]).sum()
+            sharp = np.bincount((2 * x[block, None] + (0, 1)).ravel(), split[:, :2].ravel(), 8)
+            kx = np.concatenate([np.arange(8) >> 1, np.repeat(x[block], 2)])
+            ks = np.concatenate([sharp_states, children[:, 2:].reshape(-1, 3)])
+            kc = np.concatenate([sharp.astype(np.int64), split[:, 2:].ravel()])
+            keep = kc > 0
+            post_sums[k] += (ks[keep].T * kc[keep]).sum(axis=1)
+            if k + 1 < n_rec:
+                walk(k + 1, kx[keep], ks[keep], kc[keep])
+
+    counts = rng.multinomial(config.shots, [0.25] * 4)
+    x = np.flatnonzero(counts)
+    walk(0, x, np.array([frame @ config.prep.states[i].bloch_vector for i in x]), counts[x])
+    p_hat = successes / config.shots
+    stats = tuple(ReceiverStats(float(p), math.sqrt(p * (1.0 - p) / config.shots)) for p in p_hat)
+    mean_post = (post_sums[:, :, None] * frame).sum(axis=1) / config.shots
+    return SimulationResult(stats, tuple(tuple(float(c) for c in v) for v in mean_post))
 
 
-def one_shard(config, shard_index, m):
-    """The lockstep group function run on a group of one shard."""
-    successes, post_sums = _kernel(config)(shard_index, [m])
-    return successes[0], post_sums[0]
+def chain(n, shots, seed, prep=None, lam=None):
+    """n receivers on X and Z at lam, or at (k + 1/2)/n for receiver k."""
+    lams = [(k + 0.5) / n if lam is None else lam for k in range(n)]
+    steps = tuple(SequentialChannelStep(X, Z, v) for v in lams)
+    return SimulationConfig(prep or square_preparations(0.4, 0.9), steps, shots, seed)
 
 
-def group_size(n):
-    """Shards per lockstep group at n receivers: a shard holds at most
-    12 * 2^n - 8 nodes, and a group's count matrix at most SHARD_SIZE."""
-    return max(1, SHARD_SIZE // (12 * 2**n - 8))
+class SpyGenerator(np.random.Generator):
+    """A Generator that records the total count of each multinomial call."""
+
+    def multinomial(self, n, pvals, size=None):
+        self.totals.append(int(np.sum(n)))
+        return super().multinomial(n, pvals, size)
+
+
+def spy_on_blocks(monkeypatch, config):
+    """``run(config)``, with ``splits``: ``(receiver, nodes)`` of every
+    ``_split`` call, read off ``lam`` (so the lambdas must differ);
+    ``totals``: the count split by every multinomial call; ``keys``: the
+    Philox key of every Generator built."""
+    receiver = {step.lam: k for k, step in enumerate(config.steps)}
+    splits, totals, keys, split = [], [], [], montecarlo._split
+
+    def spy_split(states, lam):
+        splits.append((receiver[lam], len(states)))
+        return split(states, lam)
+
+    def spy_generator(bit_generator):
+        keys.append(bit_generator.state["state"]["key"].tolist())
+        rng = SpyGenerator(bit_generator)
+        rng.totals = totals
+        return rng
+
+    with monkeypatch.context() as m:
+        m.setattr(montecarlo, "_split", spy_split)
+        m.setattr(np.random, "Generator", spy_generator)
+        result = run(config)
+    return result, splits, totals, keys
 
 
 class TestLockstep:
+    """Every node of a block passes a receiver in one multinomial call; a
+    longer node list is cut into blocks of ``SHARD_SIZE``, walked depth first."""
+
     @pytest.mark.parametrize("shots", [17, SHARD_SIZE, 3 * SHARD_SIZE + 17])
     @pytest.mark.parametrize("n", [1, 2, 8, 11, 12, 13])
-    def test_run_equals_shard_by_shard_reference(self, n, shots):
-        # Groups of 4096, 1638, 21 and 2 shards, then one shard per group
-        # from n = 12 on; 3 * SHARD_SIZE + 17 ends in a tail shard
-        steps = tuple(SequentialChannelStep(X, Z, (k + 0.5) / n) for k in range(n))
-        cfg = SimulationConfig(square_preparations(0.4, 0.9), steps, shots, 1000 * n + 7)
+    def test_run_equals_shard_by_shard_reference(self, monkeypatch, n, shots):
+        # At these shot counts no node list reaches SHARD_SIZE; a block of
+        # 500 nodes cuts the lists of the longer chains
+        cfg = chain(n, shots, 1000 * n + 7)
         with np.errstate(all="raise"):
+            assert run(cfg) == reference_run(cfg)
+            monkeypatch.setattr(montecarlo, "SHARD_SIZE", 500)
             assert run(cfg) == reference_run(cfg)
 
     @pytest.mark.parametrize("lam", [1.0, 1e-12])
@@ -234,50 +260,49 @@ class TestLockstep:
         ids=["pure", "on-axis", "out-of-plane"],
     )
     @pytest.mark.parametrize("n", [1, 2, 8, 11, 12, 13])
-    def test_edge_families_equal_reference(self, n, prep, lam):
-        steps = tuple(SequentialChannelStep(X, Z, lam) for _ in range(n))
-        cfg = SimulationConfig(prep, steps, 3 * SHARD_SIZE + 17, 29 + n)
+    def test_edge_families_equal_reference(self, monkeypatch, n, prep, lam):
+        cfg = chain(n, 3 * SHARD_SIZE + 17, 29 + n, prep, lam)
         with np.errstate(all="raise"):
             assert run(cfg) == reference_run(cfg)
+            monkeypatch.setattr(montecarlo, "SHARD_SIZE", 50)
+            assert run(cfg) == reference_run(cfg)
+
+    def test_run_equals_reference_across_real_blocks(self, monkeypatch):
+        # 10^9 shots over 16 receivers: the lists entering the last receivers
+        # outgrow SHARD_SIZE, so the real block bound cuts them
+        cfg = chain(16, 10**9, 16)
+        result, splits, _, _ = spy_on_blocks(monkeypatch, cfg)
+        assert max(nodes for _, nodes in splits) == SHARD_SIZE
+        assert len(splits) > 16
+        assert result == reference_run(cfg)
 
     @pytest.mark.parametrize("n", [1, 2, 8, 11, 12])
     def test_group_count_matrix_is_bounded(self, monkeypatch, n):
-        # Spy on each group's size and on the union's node count at each
-        # receiver: nodes entering receiver k number at most 12 * 2^k - 8, and
-        # a group's count matrix (shards x nodes, before and after dropping
-        # empty nodes) holds at most SHARD_SIZE entries
-        seen, kernel, split = [], montecarlo._kernel, montecarlo._split
+        # The count matrix of one multinomial call (nodes x 4 branches) has at
+        # most SHARD_SIZE rows, here 100, and at most 12 * 2^k - 8 at receiver
+        # k; each block's children go through the next receiver before any
+        # other block, and every receiver sees at most one node per shot
+        monkeypatch.setattr(montecarlo, "SHARD_SIZE", 100)
+        shots = 3 * SHARD_SIZE + 17
+        _, splits, _, _ = spy_on_blocks(monkeypatch, chain(n, shots, n))
+        assert splits[0][0] == 0 and {k for k, _ in splits} == set(range(n))
+        for (k, nodes), (k_next, _) in zip(splits, splits[1:] + [(0, 0)]):
+            assert nodes <= min(100, (12 << k) - 8)
+            assert k_next == k + 1 if k + 1 < n else k_next <= k
+        for k in range(n):
+            assert sum(nodes for j, nodes in splits if j == k) <= shots
+        if n >= 8:  # the bound bites
+            assert max(nodes for _, nodes in splits) == 100
 
-        def spy_kernel(config):
-            group = kernel(config)
-
-            def spy_group(first, sizes):
-                seen.append((first, len(sizes), []))
-                return group(first, sizes)
-
-            return spy_group
-
-        def spy_split(states, lam):
-            seen[-1][2].append(len(states))
-            return split(states, lam)
-
-        monkeypatch.setattr(montecarlo, "_kernel", spy_kernel)
-        monkeypatch.setattr(montecarlo, "_split", spy_split)
-        steps = tuple(SequentialChannelStep(X, Z, (k + 0.5) / n) for k in range(n))
-        run(SimulationConfig(square_preparations(0.4, 0.9), steps, 3 * SHARD_SIZE + 17, n))
-        size = group_size(n)
-        assert [(first, s) for first, s, _ in seen] == [(j, min(size, 4 - j)) for j in range(0, 4, size)]
-        for _, s, nodes in seen:
-            assert len(nodes) == n
-            for k, nodes_in in enumerate(nodes):
-                assert nodes_in <= (12 << k) - 8
-                assert s * nodes_in <= SHARD_SIZE
-                if s > 1:  # the matrix before empty nodes are dropped
-                    assert s * (8 + 2 * nodes_in) <= SHARD_SIZE
-
-    def test_group_sizes_straddle_the_rule(self):
-        # The oracle tables above cover each size, and one shard per group
-        assert [group_size(n) for n in (1, 2, 8, 11, 12, 13)] == [4096, 1638, 21, 2, 1, 1]
+    def test_node_bound_straddles_the_block_rule(self):
+        # Nodes entering the last of n receivers number at most
+        # 12 * 2^(n-1) - 8, so one block holds them up to n = 13; past it the
+        # real bound can cut a list (as at n = 16 above).  12 * 2^8 - 8 nodes,
+        # the most after 8 receivers, fit one block, so mc_chain's runs
+        # (n <= 8) never split
+        fits = [(12 << (n - 1)) - 8 <= SHARD_SIZE for n in (1, 2, 8, 11, 12, 13, 14)]
+        assert fits == [True] * 6 + [False]
+        assert SHARD_SIZE == 1 << 16 >= (12 << 8) - 8
 
 
 class TestNodeMapOracle:
@@ -362,6 +387,14 @@ class TestConvergence:
         assert analytic[0] == pytest.approx(want, abs=1e-14)
         assert abs(result.per_receiver[0].empirical_success - want) < 4.0 * result.per_receiver[0].standard_error
 
+    def test_a_trillion_shots_match_analytic(self):
+        # One split of the whole count per node, so 10^12 shots over three
+        # receivers cost what 10^4 do; within 5 standard errors
+        cfg = chain(3, 10**12, 3)
+        result = run(cfg)
+        analytic, _ = analytic_reference(cfg)
+        for stats, want in zip(result.per_receiver, analytic):
+            assert abs(stats.empirical_success - want) < 5.0 * stats.standard_error
 
     def test_z_scores_over_fixed_seeds_are_standard(self):
         # Seeds 0-999: each receiver's z-score against the analytic success
@@ -384,7 +417,7 @@ class TestDeterminism:
         assert run(cfg) == run(cfg)
 
     def test_thread_count_does_not_change_result(self):
-        # Both end in a tail shard; the out-of-plane states carry a nonzero c3
+        # The out-of-plane states carry a nonzero c3
         out_of_plane = SimulationConfig(
             OUT_OF_PLANE,
             tuple(SequentialChannelStep(X, Z, lam) for lam in (0.3, 0.9)),
@@ -397,30 +430,18 @@ class TestDeterminism:
             assert run(cfg, threads=8) == base
 
     def test_shard_schedule_is_lazy_and_bounded(self, monkeypatch):
-        # A stub group function over ~10^4 shards at n = 2: groups run one at
-        # a time in index order, their sizes follow from the index, and when
-        # a group starts at most one earlier group's results (the one just
-        # folded) are alive
-        n_shards, tail, size = 10_000, 123, group_size(2)
-        calls, live, peak = [], [0], [0]
-
-        def stub_kernel(config):
-            def group(first, sizes):
-                peak[0] = max(peak[0], live[0])
-                calls.append((first, sizes))
-                successes = np.array([[m, m] for m in sizes], dtype=np.int64)
-                live[0] += 1
-                weakref.finalize(successes, lambda: live.__setitem__(0, live[0] - 1))
-                return successes, [np.zeros((2, 3)) for _ in sizes]
-
-            return group
-
-        monkeypatch.setattr("seqrac.montecarlo._kernel", stub_kernel)
-        result = run(two_receiver_config(shots=(n_shards - 1) * SHARD_SIZE + tail))
-        sizes = [SHARD_SIZE] * (n_shards - 1) + [tail]
-        assert calls == [(j, sizes[j : j + size]) for j in range(0, n_shards, size)]
-        assert peak[0] <= 1
-        assert all(r.empirical_success == 1.0 for r in result.per_receiver)
+        # 10^7 shots over 12 receivers: blocks of 256 nodes keep the traced
+        # peak of a run under 1 MB, where the uncut node lists take over 3 MB,
+        # because a block's children are walked before its siblings are cut
+        cfg = chain(12, 10**7, 12)
+        peaks = []
+        for size in (SHARD_SIZE, 256):
+            monkeypatch.setattr(montecarlo, "SHARD_SIZE", size)
+            tracemalloc.start()
+            run(cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[0] > 3e6 and peaks[1] < 1e6, peaks
 
     def test_different_seeds_differ(self):
         a = run(two_receiver_config(shots=50_000, seed=1))
@@ -440,34 +461,36 @@ class TestDeterminism:
 
 
 class TestSharding:
-    def test_shard_counts_sum_to_run_totals(self):
-        cfg = two_receiver_config(shots=2 * SHARD_SIZE + 123)
-        result = run(cfg)
-        sizes = [SHARD_SIZE, SHARD_SIZE, 123]
-        successes = np.zeros(2, dtype=np.int64)
-        for idx, m in enumerate(sizes):
-            s, _ = one_shard(cfg, idx, m)
-            successes += s
-        for k, stats in enumerate(result.per_receiver):
-            assert stats.empirical_success == pytest.approx(
-                successes[k] / cfg.shots, abs=1e-15
-            )
+    """A shard is a block of at most ``SHARD_SIZE`` nodes."""
 
-    def test_shards_are_independent_streams(self):
-        cfg = two_receiver_config(shots=SHARD_SIZE)
-        s0, _ = one_shard(cfg, 0, 1000)
-        s1, _ = one_shard(cfg, 1, 1000)
-        assert not np.array_equal(s0, s1)
+    def test_shard_counts_sum_to_run_totals(self, monkeypatch):
+        # Blocks of 100 nodes: one multinomial call splits the shots over the
+        # inputs, then one per block, and at every receiver the blocks'
+        # counts add up to every shot of the run
+        monkeypatch.setattr(montecarlo, "SHARD_SIZE", 100)
+        cfg = chain(8, 2 * SHARD_SIZE + 123, 5)
+        _, splits, totals, _ = spy_on_blocks(monkeypatch, cfg)
+        assert len(splits) > 8 and len(totals) == 1 + len(splits)
+        assert totals[0] == cfg.shots
+        for k in range(8):
+            assert sum(m for (j, _), m in zip(splits, totals[1:]) if j == k) == cfg.shots
+
+    def test_blocks_share_one_stream(self, monkeypatch):
+        # However the nodes are cut, a run builds one Generator, on the
+        # Philox key (seed, 0)
+        monkeypatch.setattr(montecarlo, "SHARD_SIZE", 100)
+        _, splits, _, keys = spy_on_blocks(monkeypatch, chain(8, SHARD_SIZE, 2**64 - 1))
+        assert len(splits) > 8
+        assert keys == [[2**64 - 1, 0]]
 
 
 class TestStream:
     def test_stream_is_pinned(self):
         # Changing the draw must be deliberate: bump RNG_ALGORITHM and
         # re-pin these counts together
-        assert RNG_ALGORITHM == "philox4x64/shard65536/multinomial-split"
-        cfg = two_receiver_config(shots=2000, seed=20260824)
-        counts = [one_shard(cfg, j, 1000)[0].tolist() for j in (0, 1)]
-        assert counts == [[790, 753], [760, 747]]
+        assert RNG_ALGORITHM == "philox4x64/run-stream/multinomial-split"
+        result = run(two_receiver_config(shots=2000, seed=20260824))
+        assert [round(r.empirical_success * 2000) for r in result.per_receiver] == [1588, 1510]
 
     @pytest.mark.parametrize("lam", [1e-12, 0.5, 1.0])
     @pytest.mark.parametrize(
@@ -480,9 +503,8 @@ class TestStream:
         ids=["pure", "on-axis", "out-of-plane"],
     )
     def test_shard_raises_no_floating_point_warning(self, prep, lam):
-        steps = tuple(SequentialChannelStep(X, Z, lam) for _ in range(3))
-        cfg = SimulationConfig(prep, steps, 4096, 5)
+        # 4,096 shots over three receivers: one block
         with np.errstate(all="raise"):
-            successes, post_sums = one_shard(cfg, 0, 4096)
-        assert np.isfinite(post_sums).all()
-        assert ((0 <= successes) & (successes <= 4096)).all()
+            result = run(chain(3, 4096, 5, prep, lam))
+        assert np.isfinite(result.mean_post_bloch).all()
+        assert all(0 <= r.empirical_success <= 1 for r in result.per_receiver)

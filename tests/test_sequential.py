@@ -121,7 +121,7 @@ def reference_propagate(prep, steps):
         entries.append((exact, recursion, success))
         if k < len(steps):
             lam = steps[k].lam
-            shrink1 *= 0.5 * (1.0 + math.sqrt(1.0 - lam * lam))
+            shrink1 *= 0.5 * (1.0 + math.sqrt((1.0 - lam) * (1.0 + lam)))
             states = families[-1].states
             families.append(
                 PreparationFamily(tuple(nonselective_step(rho, steps[k]) for rho in states))

@@ -8,9 +8,10 @@ CHECKOUT is the root of a seqrac source tree; its ``src`` and ``bench`` are
 put first on ``sys.path``.  WORKDIR is emptied and reused for every run.
 Each run prints one line with its exit code and the digests of its stdout
 and stderr, then one line per file it wrote: the sha256 of every data file,
-and of every manifest with its ``timestamp`` removed.  Two checkouts whose
-listings are equal wrote the same bytes.  Give both the same WORKDIR: the
-config path appears in manifests and error messages.  The runs are every op of
+and of every manifest without its ``timestamp`` and its ``config`` path.
+Stdout and stderr are hashed with WORKDIR's path replaced by ``WORKDIR``, so
+the listing does not depend on where WORKDIR is.  Two checkouts whose
+listings are equal wrote the same bytes.  The runs are every op of
 ``schedule_auto`` seeds 1 and 2, of ``scalar_mix`` seed 1 and of ``mc_chain``
 seed 1 (66 ``simulate --threads 2`` runs; from ``bench/workloads.py``),
 ``poly --k 1..10 --out``, ``schedule`` at a numeric omega in {0.03125,
@@ -26,10 +27,10 @@ cancels, ``sequence`` and a ``simulate`` run at each lam in
 {0.9999841142108734, 1 - 2^-20, 1.0}.  Then ``schedule --omega <omega_dec>``
 re-runs the auto run for n in {6, 13, 24} at (r, epsilon) = (0.3, 1e-6) and
 (1, 0.01) from its printed angle.  Then ``simulate`` runs: 16 receivers
-over four shards; lambdas 0.5, 1, 1 on pure states (r = 1), where the
-last receiver meets unsharp branches of probability 0; and 11 and 12
-receivers over three shards plus a tail shard, on either side of the
-lockstep group rule (two shards per group at n = 11, one from n = 12 on).
+over 200,000 shots; lambdas 0.5, 1, 1 on pure states (r = 1), where the
+last receiver meets unsharp branches of probability 0; 11 and 12 receivers
+over 196,625 shots; and 16 receivers over 10^9 shots, whose node lists
+outgrow one block of ``montecarlo.SHARD_SIZE`` nodes and are cut.
 Then ``schedule --n 1`` at four angles whose ``omega_dec`` pins the decimal
 printer's edges: the exact tie 389347099 * 2^-31, which rounds up to
 ...938; 1.5e-10, in exponent form; and values that carry to 0.000000001
@@ -128,6 +129,7 @@ def main() -> None:
         "omega = 0.3\nr = 1\nlambdas = 0.5,1.0,1.0\nshots = 70000\nseed = 9\n",
         f"omega = 0.25\nr = 0.9\nlambdas = {lams11}\nshots = 196625\nseed = 11\n",
         f"omega = 0.25\nr = 0.9\nlambdas = {lams12}\nshots = 196625\nseed = 12\n",
+        f"omega = 0.2\nr = 0.95\nlambdas = {lams16}\nshots = 1000000000\nseed = 17\n",
     ):
         runs.append((("simulate", "--config", CONFIG, "--out", OUT), config))
     runs += [(("schedule", "--n", "1", "--omega", omega, "--out", OUT), None) for omega in DEC_EDGES]
@@ -142,13 +144,15 @@ def main() -> None:
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = seqrac_main([{OUT: str(out), CONFIG: str(cfg)}.get(a, a) for a in argv])
-        stdout, stderr = (sha(s.getvalue().encode()) for s in (stdout, stderr))
+        stdout, stderr = (sha(s.getvalue().replace(str(work), "WORKDIR").encode())
+                          for s in (stdout, stderr))
         print(i, " ".join(argv[:2]), "rc", code, "stdout", stdout, "stderr", stderr)
         for f in sorted(out.iterdir()):
             data = f.read_bytes()
             if f.name.endswith("_manifest.json"):
                 manifest = json.loads(data)
                 del manifest["timestamp"]
+                manifest["params"].pop("config", None)
                 data = json.dumps(manifest, sort_keys=True).encode()
             print(i, f.name, sha(data))
 
