@@ -347,19 +347,25 @@ def cmd_poly(args) -> Output:
 
 
 def cmd_verify(args) -> Output:
-    """Quick invariant suite; one pass/fail line per check."""
+    """Quick invariant suite; one pass/fail line per check.  A disc-bound line needs the family
+    that saturates the bound to meet it to 1e-12, and its stratum's maximum over 2,000 random
+    families, which never reach the bound, to lie between 1 + QUANTUM_DISC_TOL and a floor far
+    above the stratum's mean (0.3 in the ball, 0.5 on the sphere) that a correct sampler's
+    maximum misses with probability under 1e-17: a sampler that returns the mean fails."""
     from fractions import Fraction
 
-    from .rac import theorem1_sampler
+    from .rac import delta_pair, theorem1_sampler
     from .sequential import lemma2_violation_probe
     from . import kraus_pair
 
     checks = []
 
-    max_sq = theorem1_sampler(20000, seed=7)
-    checks.append(("distinguishability disc bound", max_sq <= 1.0 + QUANTUM_DISC_TOL))
-    max_sq_pure = theorem1_sampler(20000, seed=8, pure=True)
-    checks.append(("disc bound, pure stratum", max_sq_pure <= 1.0 + QUANTUM_DISC_TOL))
+    sat = delta_pair(square_preparations(math.pi / 4, 1))
+    saturated = abs(sat.delta1**2 + sat.delta2**2 - 1.0) < 1e-12
+    for name, seed, pure, floor in (("distinguishability disc bound", 7, False, 0.6),
+                                    ("disc bound, pure stratum", 8, True, 0.9)):
+        max_sq = theorem1_sampler(2000, seed=seed, pure=pure)
+        checks.append((name, saturated and floor <= max_sq <= 1.0 + QUANTUM_DISC_TOL))
 
     prep = square_preparations(0.3, 0.9)
     steps = [SequentialChannelStep(B1, B2, lam) for lam in (0.3, 0.5, 0.8)]

@@ -1,4 +1,4 @@
-"""Exception types, and the input rules for r and for counts, shared across the package."""
+"""Exception types, the one number reader, and the input rules for omega, r, counts and seeds."""
 
 import operator
 
@@ -35,6 +35,21 @@ class SearchExhausted(SeqracError):
     """The opening-angle search used up its evaluations without certifying a point."""
 
 
+def read(name: str, value, convert):
+    """``convert(value)`` (``float`` or ``mp.mpf``); what it refuses is a DomainError."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"bad {name} {value!r}") from exc
+
+
+def check_omega(omega, half_pi):
+    """``omega`` if it lies in (0, ``half_pi``), pi/2 at the caller's precision; nan does not."""
+    if not 0 < omega < half_pi:
+        raise DomainError(f"omega {omega} outside (0, pi/2)")
+    return omega
+
+
 def check_r(r):
     """``r`` if it lies in (0, 1], which nan does not."""
     if not 0 < r <= 1:
@@ -48,3 +63,12 @@ def check_count(n, name: str) -> int:
     if k < 1:
         raise DomainError(f"{name} {n!r} is not an integer >= 1")
     return k
+
+
+def check_seed(seed) -> int:
+    """``seed`` as an int if it is an integer in [0, 2^64), a Philox key; not 1.5, "1" or True."""
+    if isinstance(seed, bool) or not hasattr(type(seed), "__index__"):
+        raise DomainError(f"seed {seed!r} is not an integer")
+    if not 0 <= operator.index(seed) < 1 << 64:
+        raise DomainError(f"seed {seed} outside [0, 2^64)")
+    return operator.index(seed)

@@ -29,9 +29,9 @@ from typing import NamedTuple
 
 from .bloch import DensityOp
 from .channel import SequentialChannelStep, _disturbance, nonselective_step
-from .errors import AxisError, DomainError, check_count
+from .errors import AxisError, DomainError, check_count, check_seed
 from .rac import BITS, PreparationFamily
-from .sequential import _check_axes, propagate
+from .sequential import _check_steps, propagate
 
 RNG_ALGORITHM = "philox4x64/run-stream/multinomial-split"
 SHARD_SIZE = 1 << 16  # the most nodes one multinomial call splits
@@ -45,14 +45,11 @@ class SimulationConfig:
     seed: int
 
     def __post_init__(self):
-        if not self.steps:
-            raise DomainError("at least one receiver step is required")
         if check_count(self.shots, "shots") >= 1 << 63:  # multinomial takes an int64
             raise DomainError(f"shots {self.shots} above 2^63 - 1")
-        if not 0 <= self.seed < 1 << 64:
-            raise DomainError(f"seed {self.seed} outside [0, 2^64)")
+        check_seed(self.seed)
         # The kernel works in the frame of steps[0]'s axes
-        _check_axes(self.steps)
+        _check_steps(self.steps)
         if not self.steps[0].anticommuting:
             raise AxisError("step axes must anticommute (orthogonal Bloch axes)")
 

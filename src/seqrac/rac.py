@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .bloch import DensityOp, distinguishability
 from .channel import UnsharpBinaryMeasurement
-from .errors import DomainError, check_count, check_r
+from .errors import DomainError, check_count, check_omega, check_r, check_seed, read
 
 THRESHOLD_DENOM_TOL = 1e-15
 QUANTUM_DISC_TOL = 1e-9
@@ -62,10 +62,8 @@ def square_preparations(omega: float, r: float = 1.0) -> PreparationFamily:
     The marginal distinguishabilities are then exactly
     ``(cos(omega), r sin(omega))``; the states are pure iff ``r = 1``.
     """
-    omega = float(omega)
-    if not 0.0 < omega < math.pi / 2:
-        raise DomainError(f"omega {omega} outside (0, pi/2)")
-    r = check_r(float(r))
+    omega = check_omega(read("omega", omega, float), math.pi / 2)
+    r = check_r(read("r", r, float))
     c, s = math.cos(omega), r * math.sin(omega)
     vectors = [((-1) ** x1 * c, 0.0, (-1) ** x2 * s) for x1, x2 in BITS]
     return PreparationFamily.from_bloch_vectors(vectors)
@@ -177,7 +175,7 @@ def sample_bloch_vectors(count: int, seed: int, pure: bool = False):
     """
     import numpy as np
 
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(check_seed(seed))))
     planes = np.empty((3, 4, count))
     x, y, z = planes
     rng.random(out=z)

@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import DomainError, SearchExhausted, check_count, check_r
+from .errors import DomainError, SearchExhausted, check_count, check_omega, check_r, read
 from .rac import DistinguishabilityPair
 from .smallangle import leading_coefficient_numeric
 
@@ -77,18 +77,10 @@ class Schedule:
     first_failure: Optional[int]
 
 
-def _read(name: str, value) -> mp.mpf:
-    """``value`` as an mpf at the working precision, a string to every digit it spells."""
+def _read_r_epsilon(r, epsilon) -> tuple:
     import mpmath as mp
 
-    try:
-        return mp.mpf(value)
-    except (ValueError, TypeError) as exc:
-        raise DomainError(f"bad {name} {value!r}") from exc
-
-
-def _read_r_epsilon(r, epsilon) -> tuple:
-    r, epsilon = check_r(_read("r", r)), _read("epsilon", epsilon)
+    r, epsilon = check_r(read("r", r, mp.mpf)), read("epsilon", epsilon, mp.mpf)
     if not epsilon > 0:
         raise DomainError("epsilon must be > 0")
     if not epsilon < math.inf:
@@ -178,9 +170,7 @@ def lambda_sequence(omega, r, epsilon, n: int, dps: int = DEFAULT_DPS) -> Schedu
 
     n = check_count(n, "n")
     with mp.workdps(_working_dps(n, dps)):
-        omega = _read("omega", omega)
-        if not 0 < omega < mp.pi / 2:
-            raise DomainError(f"omega {omega} outside (0, pi/2)")
+        omega = check_omega(read("omega", omega, mp.mpf), mp.pi / 2)
         r, epsilon = _read_r_epsilon(r, epsilon)
         prec, h = mp.mp.prec, mpf_shift(omega._mpf_, -1)  # omega/2, exact
         # From here each end is a (mantissa, exponent) int pair: *_lo rounds down, *_hi up

@@ -55,7 +55,10 @@ def per_bob_success(dp_k: DistinguishabilityPair, lambda_k: float) -> float:
     return 0.5 + 0.25 * (dp_k.delta1 + _check_lambda(lambda_k) * dp_k.delta2)
 
 
-def _check_axes(steps) -> None:
+def _check_steps(steps) -> None:
+    """At least one step, and every step on the first one's axes."""
+    if not steps:
+        raise DomainError("at least one channel step is required")
     first = steps[0]
     for step in steps[1:]:
         if (
@@ -93,9 +96,7 @@ def propagate(
     receiver; the final entry, which has no measurement configured, carries
     ``None``.
     """
-    if not steps:
-        raise DomainError("at least one channel step is required")
-    _check_axes(steps)
+    _check_steps(steps)
     vectors = [rho.bloch_vector for rho in prep.states]
     if check_alignment:
         _check_alignment(vectors, steps[0])

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import seqrac.cli
+import seqrac.rac
 from seqrac import SearchExhausted, find_omega, lambda_sequence
 from seqrac.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
 from seqrac.schedule import DEFAULT_DPS
@@ -689,6 +690,56 @@ class TestPolyCommand:
 
     def test_order_above_cap_is_usage(self):
         assert main(["poly", "--k", str(POLY_CAP + 1)]) == EXIT_USAGE
+
+
+VERIFY_LINES = [
+    "distinguishability disc bound",
+    "disc bound, pure stratum",
+    "recursion matches trace norms",
+    "tilted axes break recursion",
+    "Kraus completeness on lambda grid",
+    "four-receiver schedule near 2^-5",
+    "schedule margins positive",
+    "quartic polynomial table",
+]
+
+
+class TestVerifyCommand:
+    def test_prints_eight_pass_lines(self, capsys):
+        assert main(["verify"]) == EXIT_OK
+        assert capsys.readouterr().out == "".join(f"PASS  {name}\n" for name in VERIFY_LINES)
+
+    @staticmethod
+    def fail_lines(capsys):
+        assert main(["verify"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line[6:] for line in lines] == VERIFY_LINES
+        return {line[6:] for line in lines if line.startswith("FAIL  ")}
+
+    @pytest.mark.parametrize("stratum, mean", [(False, 0.3), (True, 0.5)], ids=["ball", "pure"])
+    @pytest.mark.parametrize("above", [True, False], ids=["above the bound", "at the mean"])
+    def test_a_stratum_outside_its_window_fails_its_line(self, monkeypatch, capsys, stratum, mean,
+                                                         above):
+        # 1.1 breaks the disc bound; the stratum's mean is what a sampler that returns
+        # .mean() for .max() gives, which only the floor catches
+        real = seqrac.rac.theorem1_sampler
+
+        def sampler(count, seed, pure=False):
+            return (1.1 if above else mean) if pure == stratum else real(count, seed, pure)
+
+        monkeypatch.setattr(seqrac.rac, "theorem1_sampler", sampler)
+        assert self.fail_lines(capsys) == {VERIFY_LINES[stratum]}
+
+    @pytest.mark.parametrize("gap", [1e-6, -1e-6])
+    def test_an_unsaturated_family_fails_both_disc_lines(self, monkeypatch, capsys, gap):
+        real = seqrac.rac.delta_pair
+
+        def off(prep):  # Delta1^2 + Delta2^2 off the bound by gap
+            dp = real(prep)
+            return dp._replace(delta1=math.sqrt(dp.delta1**2 + gap))
+
+        monkeypatch.setattr(seqrac.rac, "delta_pair", off)
+        assert self.fail_lines(capsys) == set(VERIFY_LINES[:2])
 
 
 class TestParserReuse:

@@ -57,7 +57,7 @@ def two_receiver_config(shots=200_000, seed=42):
 class TestConfigValidation:
     def test_requires_steps_and_shots(self):
         prep = square_preparations(0.3)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^at least one channel step is required$"):
             SimulationConfig(prep, (), 100, 1)
         with pytest.raises(DomainError):
             SimulationConfig(prep, (SequentialChannelStep(X, Z, 0.5),), 0, 1)
@@ -91,11 +91,17 @@ class TestConfigValidation:
         with pytest.raises(AxisError):
             SimulationConfig(prep, (SequentialChannelStep(X, tilted, 0.5),), 100, 1)
 
-    @pytest.mark.parametrize("seed", [-1, 1 << 64])
-    def test_seed_must_fit_philox_key(self, seed):
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed -1 outside [0, 2^64)"), (1 << 64, f"seed {1 << 64} outside [0, 2^64)"),
+        (1.5, "seed 1.5 is not an integer"), (True, "seed True is not an integer"),
+        ("1", "seed '1' is not an integer"),
+    ], ids=["-1", str(1 << 64), "1.5", "True", "'1'"])
+    def test_seed_must_fit_philox_key(self, seed, message):
+        # 1.5 was accepted and ran as seed 1
         prep = square_preparations(0.3)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as info:
             SimulationConfig(prep, (SequentialChannelStep(X, Z, 0.5),), 100, seed)
+        assert str(info.value) == message
 
 
 def frame_of(step):

@@ -60,6 +60,15 @@ class TestSquarePreparations:
         with pytest.raises(DomainError):
             square_preparations(0.3, r=1.5)
 
+    @pytest.mark.parametrize("omega, r, message", [
+        ("abc", 1.0, "bad omega 'abc'"), (0.3, "abc", "bad r 'abc'"), (0.3, None, "bad r None"),
+        (None, 1.0, "bad omega None"), (float("nan"), 1.0, "omega nan outside (0, pi/2)"),
+    ])
+    def test_malformed_numbers_are_domain_errors(self, omega, r, message):
+        with pytest.raises(DomainError) as info:
+            square_preparations(omega, r)
+        assert str(info.value) == message
+
 
 class TestMarginals:
     def test_matches_state_averages(self):
@@ -192,6 +201,20 @@ class TestDiscBound:
     def test_sampler_stays_inside_disc(self):
         assert theorem1_sampler(20000, seed=101) <= 1.0 + 1e-9
         assert theorem1_sampler(20000, seed=102, pure=True) <= 1.0 + 1e-9
+
+    def test_sampler_maximum_nears_the_boundary(self):
+        # far above the means 0.3 (ball) and 0.5 (sphere); a correct sampler's maximum of
+        # 20,000 families falls below either floor with probability under 1e-13
+        assert theorem1_sampler(20000, seed=101) >= 0.75
+        assert theorem1_sampler(20000, seed=102, pure=True) >= 0.97
+
+    @pytest.mark.parametrize("seed", [-1, 1 << 64, 1.5, "1", True, None], ids=repr)
+    @pytest.mark.parametrize("sampler", [theorem1_sampler, sample_bloch_vectors],
+                             ids=lambda f: f.__name__)
+    def test_sampler_seed_is_a_philox_key(self, sampler, seed):
+        # -1 and 2^64 raised a bare OverflowError, and 1.5 ran as seed 1
+        with pytest.raises(DomainError, match="^seed .* (outside|is not an integer)"):
+            sampler(10, seed=seed)
 
     def test_saturating_family(self):
         # orthogonal pure marginal pairs on both bits reach the boundary

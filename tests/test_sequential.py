@@ -176,7 +176,7 @@ class TestReferenceOracle:
 
 class TestGuards:
     def test_empty_steps_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^at least one channel step is required$"):
             propagate(square_preparations(0.3), [])
 
     def test_axis_mismatch_rejected(self):

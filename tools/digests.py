@@ -1,17 +1,25 @@
-"""Print sha256 digests of what one checkout's CLI produces for a fixed set of runs.
+"""Check the sha256 digests of what one checkout's CLI produces for a fixed set of runs
+against the committed listing ``tools/digests.txt``.
 
 Usage, from anywhere:
 
-    python tools/digests.py CHECKOUT WORKDIR > listing.txt
+    python tools/digests.py CHECKOUT WORKDIR            # compare with digests.txt
+    python tools/digests.py CHECKOUT WORKDIR --write    # rewrite digests.txt
 
 CHECKOUT is the root of a seqrac source tree; its ``src`` and ``bench`` are
 put first on ``sys.path``.  WORKDIR is emptied and reused for every run.
-Each run prints one line with its exit code and the digests of its stdout
+Each run makes one line with its exit code and the digests of its stdout
 and stderr, then one line per file it wrote: the sha256 of every data file,
 and of every manifest without its ``timestamp`` and its ``config`` path.
 Stdout and stderr are hashed with WORKDIR's path replaced by ``WORKDIR``, so
 the listing does not depend on where WORKDIR is.  Two checkouts whose
-listings are equal wrote the same bytes.  The runs are every op of
+listings are equal wrote the same bytes.  The tool prints each run whose
+lines differ from the committed listing, expected lines as ``-`` and this
+run's as ``+``, and exits 1 if any does; ``--write`` replaces the listing
+instead.  The listing is headed by the Python, numpy and mpmath versions
+that made it, and a difference in them is printed too: ``simulate`` bytes
+hold on one numpy build only.  A change that declares new bytes rewrites
+the listing in the same commit.  The runs are every op of
 ``schedule_auto`` seeds 1 and 2, of ``scalar_mix`` seed 1 and of ``mc_chain``
 seed 1 (66 ``simulate --threads 2`` runs; from ``bench/workloads.py``),
 ``poly --k 1..10 --out``, ``schedule`` at a numeric omega in {0.03125,
@@ -44,9 +52,13 @@ import contextlib
 import hashlib
 import io
 import json
+import platform
 import shutil
 import sys
+from collections import defaultdict
 from pathlib import Path
+
+LISTING = Path(__file__).with_name("digests.txt")
 
 # (n, r, epsilon, omega_dec) of ``schedule --omega auto`` runs: given back as
 # --omega, each must reproduce its omega_dec and its feasibility.
@@ -71,7 +83,7 @@ def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def main() -> None:
+def main() -> int:
     root, work = Path(sys.argv[1]).resolve(), Path(sys.argv[2]).resolve()
     sys.path[:0] = [str(root / "src"), str(root / "bench")]
     from seqrac.cli import main as seqrac_main
@@ -136,6 +148,7 @@ def main() -> None:
     runs += [(("thresholds", "--grid", "7", "--delta2", d2, "--out", OUT), None)
              for d2 in ("0", "0.6", "1")]
     runs.append((("region", "--resolution", "2", "--out", OUT), None))
+    lines = []
     for i, (argv, config) in enumerate(runs):
         shutil.rmtree(work, ignore_errors=True)
         out.mkdir(parents=True)
@@ -146,7 +159,7 @@ def main() -> None:
             code = seqrac_main([{OUT: str(out), CONFIG: str(cfg)}.get(a, a) for a in argv])
         stdout, stderr = (sha(s.getvalue().replace(str(work), "WORKDIR").encode())
                           for s in (stdout, stderr))
-        print(i, " ".join(argv[:2]), "rc", code, "stdout", stdout, "stderr", stderr)
+        lines.append(f"{i} {' '.join(argv[:2])} rc {code} stdout {stdout} stderr {stderr}")
         for f in sorted(out.iterdir()):
             data = f.read_bytes()
             if f.name.endswith("_manifest.json"):
@@ -154,8 +167,30 @@ def main() -> None:
                 del manifest["timestamp"]
                 manifest["params"].pop("config", None)
                 data = json.dumps(manifest, sort_keys=True).encode()
-            print(i, f.name, sha(data))
+            lines.append(f"{i} {f.name} {sha(data)}")
+    import mpmath
+    import numpy
+
+    header = [f"# python {platform.python_version()}", f"# numpy {numpy.__version__}",
+              f"# mpmath {mpmath.__version__}"]
+    if sys.argv[3:] == ["--write"]:
+        LISTING.write_text("\n".join(header + lines) + "\n")
+        print(f"wrote {len(lines)} lines for {len(runs)} runs to {LISTING}")
+        return 0
+    committed = LISTING.read_text().splitlines()
+    if committed[:len(header)] != header:
+        print("versions differ:", *committed[:len(header)], "here:", *header, sep="\n  ")
+    want, got = defaultdict(list), defaultdict(list)
+    for table, rows in ((want, committed[len(header):]), (got, lines)):
+        for line in rows:
+            table[line.split(" ", 1)[0]].append(line)
+    differ = [i for i in sorted(set(want) | set(got), key=int) if want[i] != got[i]]
+    for i in differ:
+        print(f"run {i} differs:", *(f"- {x}" for x in want[i]), *(f"+ {x}" for x in got[i]),
+              sep="\n  ")
+    print(f"{len(runs)} runs, {len(differ)} differ from {LISTING.name}")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

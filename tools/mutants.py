@@ -18,8 +18,9 @@ endpoint of a pair taken from the other end in the loop, the lam in (0, 1)
 decision at both edges, the sticky bits of ``_div`` and ``_sqrt``, ``_mid``'s
 zero stripping, ``_add``'s sticky cutoff, ``_working_dps``'s n term,
 ``find_omega``'s stop test, and ``_dec``'s guard width, re-read step, tie
-window, constants, carry, sign and final rounding.  A mutant marked
-equivalent carries the reason no test can kill it.
+window, constants, carry, sign and final rounding; and in ``rac``'s disc-bound
+sampler, the maximum taken, the ball radius and the range of z.  A
+mutant marked equivalent carries the reason no test can kill it.
 
 It prints one line per mutant (killed or survived, seconds, and the first
 failing test, or the reason a survivor is equivalent); tests that run past
@@ -143,7 +144,16 @@ DEC = (
     _printer("dec: undecided rounds down", "head += 2 * tail >=", ">= 10**guard - 4", "> 10**guard + 4"),
 )
 
-MUTANTS = FLIPS + SWAPS + OTHERS + DEC
+DISTRIBUTION = ("tests/test_rac.py::TestSamplerDistribution",)
+SAMPLER = (
+    Mutant("sampler: mean for max", "rac.py", "return float(_family_delta_sq(vectors)", ".max()",
+           ".mean()", ("tests/test_rac.py::TestDiscBound", "tests/test_cli.py::TestVerifyCommand")),
+    Mutant("sampler: ball radius sqrt for cbrt", "rac.py", "radius = np.cbrt(", "cbrt", "sqrt",
+           DISTRIBUTION),
+    Mutant("sampler: z range halved to [-1, 0)", "rac.py", "z *= 2.0", "2.0", "1.0", DISTRIBUTION),
+)
+
+MUTANTS = FLIPS + SWAPS + OTHERS + DEC + SAMPLER
 
 
 def mutate(text: str, m: Mutant) -> str:
