@@ -36,11 +36,20 @@ class SearchExhausted(SeqracError):
 
 
 def read(name: str, value, convert):
-    """``convert(value)`` (``float`` or ``mp.mpf``); what it refuses is a DomainError."""
+    """``convert(value)`` (``float``, ``mp.mpf`` or ``real``); what it refuses is a DomainError."""
     try:
         return convert(value)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"bad {name} {value!r}") from exc
+
+
+def real(value):
+    """``value`` itself if it is a real number, so its bits stay; text, which ``float`` parses, is not."""
+    import numbers  # on first use, like mpmath: no command's import pays for it
+
+    if not isinstance(value, numbers.Real):
+        raise TypeError(f"{value!r} is not a real number")
+    return value
 
 
 def check_omega(omega, half_pi):
@@ -58,8 +67,8 @@ def check_r(r):
 
 
 def check_count(n, name: str) -> int:
-    """``n`` as an int if it is an integer >= 1: 2.7 or "3" is refused, not truncated."""
-    k = operator.index(n) if hasattr(type(n), "__index__") else 0
+    """``n`` as an int if it is an integer >= 1: 2.7, "3" or True is refused, not truncated."""
+    k = 0 if isinstance(n, bool) or not hasattr(type(n), "__index__") else operator.index(n)
     if k < 1:
         raise DomainError(f"{name} {n!r} is not an integer >= 1")
     return k

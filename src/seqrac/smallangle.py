@@ -12,11 +12,18 @@ have nonnegative integer coefficients,
 
     Q_1 = 1,  Q_k = 2*Q_{k-1} + 2^(k-2) * x * Q_{k-1}^2   (k >= 2),
 
-and Q_k's coefficients are those of the odd-power expansion of ``c_k``.  The
-exact tables are built on Q_k, squaring by Kronecker substitution: the
-coefficients are packed into one Python int, which is squared once and
-sliced back into coefficients.  Numeric values of ``c_k`` and of the
-opening-angle estimate come from the O(k) value recurrence and build no
+and Q_k's coefficients are those of the odd-power expansion of ``c_k``.  Q_k
+carries a factor 2^(i-k+1) in coefficient i that each squaring would multiply
+through; with ``P_k(x) = T_k(2x) / 4^(k-1)`` the recurrence sheds it,
+
+    T_1 = 1,  T_k = 4*T_{k-1} + y * T_{k-1}^2   (k >= 2),
+
+whose largest coefficient is about a quarter shorter (707 bits against 959
+at k = 10).  The exact tables are built on T_k, squaring by Kronecker
+substitution: the coefficients are packed into one Python int, which is
+squared once and sliced back into coefficients; Q_k's coefficients are then
+``q_i = t_i * 2^(i-k+1)``, an exact shift.  Numeric values of ``c_k`` and of
+the opening-angle estimate come from the O(k) value recurrence and build no
 polynomial.  mpmath and ``fractions`` are imported on first use.
 """
 
@@ -27,9 +34,9 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import DomainError, check_count, check_r
+from .errors import DomainError, check_count, check_r, read, real
 
-# On one Xeon core P_12 builds in 0.6-0.9 s and P_13 in 5-9 s; from k = 14
+# On one Xeon core P_12 builds in 0.4-0.5 s and P_13 in 3.3-4.1 s; from k = 14
 # on the numerators pass Python's 4300-digit int->str limit.
 POLY_CAP = 12
 
@@ -67,17 +74,17 @@ def _kronecker_square(coeffs: list[int]) -> list[int]:
 
 
 def _scaled_table(k: int) -> list[int]:
-    """Coefficients of the integer polynomial Q_k = 2^(k-1) * P_k."""
-    q = [1]
-    for j in range(2, k + 1):
-        nxt = [0] + [c << (j - 2) for c in _kronecker_square(q)]
-        for i, c in enumerate(q):
-            nxt[i] += c << 1
-        q = nxt
-    return q
+    """Coefficients of the integer polynomial Q_k = 2^(k-1) * P_k, as t_i * 2^(i-k+1) from T_k."""
+    t = [1]
+    for _ in range(k - 1):
+        nxt = [0] + _kronecker_square(t)
+        for i, c in enumerate(t):
+            nxt[i] += c << 2
+        t = nxt
+    return [(c << i) >> (k - 1) for i, c in enumerate(t)]
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)  # typed: True misses 1's entry and is refused
 def small_angle_poly(k: int) -> RationalPolynomial:
     """The exact polynomial P_k of the quadratic recurrence."""
     from fractions import Fraction
@@ -128,7 +135,7 @@ def leading_coefficient_numeric(k: int, c1) -> mp.mpf:
     from mpmath.libmp import fone, mpf_add, mpf_mul, mpf_shift, round_nearest
 
     k = check_count(k, "order")
-    c1 = mp.mpf(c1)
+    c1 = read("c1", c1, lambda v: mp.mpf(real(v)))
     if not 0 < c1 < mp.inf:  # nan and +inf fail too, instead of returning themselves
         raise DomainError(f"c1 must be positive and finite, not {c1}")
     # raw libmp calls at mp.prec, rounded to nearest, in the operation order of
@@ -155,7 +162,7 @@ def omega_estimate(k: int, r: float, epsilon: float):
     import mpmath as mp
 
     k = check_count(k, "order")
-    check_r(r)
+    r, epsilon = check_r(read("r", r, real)), read("epsilon", epsilon, real)
     if not 0 <= epsilon < math.inf:  # also rejects nan
         raise DomainError(f"epsilon {epsilon} must be finite and >= 0")
     with mp.workdps(40):

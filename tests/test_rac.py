@@ -237,7 +237,7 @@ class TestDiscBound:
     def test_sampler_is_seed_deterministic(self):
         assert theorem1_sampler(5000, seed=9) == theorem1_sampler(5000, seed=9)
 
-    @pytest.mark.parametrize("count", [0, 2.5, "3"], ids=repr)
+    @pytest.mark.parametrize("count", [0, 2.5, "3", True], ids=repr)
     def test_sampler_count_is_a_positive_integer(self, count):
         with pytest.raises(DomainError, match="^count .* is not an integer >= 1$"):
             theorem1_sampler(count, seed=1)

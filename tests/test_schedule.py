@@ -126,7 +126,7 @@ class TestInputRules:
         with pytest.raises(DomainError, match=f"^bad {re.escape(bad)}$"):
             find_omega(3, r, epsilon) if search else lambda_sequence(0.1, r, epsilon, 3)
 
-    @pytest.mark.parametrize("n", [2.7, 2.9, 3.0, "3", mp.mpf(3)], ids=repr)
+    @pytest.mark.parametrize("n", [2.7, 2.9, 3.0, "3", mp.mpf(3), True], ids=repr)
     @pytest.mark.parametrize("search", [False, True], ids=["lambda_sequence", "find_omega"])
     def test_count_is_not_truncated(self, search, n):
         # find_omega(2.9, ...) returned a 2-receiver schedule

@@ -18,7 +18,12 @@ from seqrac import (
     small_angle_poly,
 )
 from seqrac.schedule import DEFAULT_DPS, _working_dps
-from seqrac.smallangle import POLY_CAP, _kronecker_square, leading_coefficient_numeric
+from seqrac.smallangle import (
+    POLY_CAP,
+    _kronecker_square,
+    _scaled_table,
+    leading_coefficient_numeric,
+)
 
 F = Fraction
 
@@ -41,6 +46,29 @@ def schoolbook_square(coeffs):
     return out
 
 
+def q_recurrence_table(k):
+    """Q_k from its own recurrence Q_k = 2*Q_{k-1} + 2^(k-2) * x * Q_{k-1}^2:
+    the oracle for the tables, which are built on T_k."""
+    q = [1]
+    for j in range(2, k + 1):
+        nxt = [0] + [c << (j - 2) for c in _kronecker_square(q)]
+        for i, c in enumerate(q):
+            nxt[i] += c << 1
+        q = nxt
+    return q
+
+
+def t_recurrence_table(k):
+    """T_1 = 1, T_k = 4*T_{k-1} + y*T_{k-1}^2, squared by the schoolbook."""
+    t = [1]
+    for _ in range(k - 1):
+        nxt = [0] + schoolbook_square(t)
+        for i, c in enumerate(t):
+            nxt[i] += 4 * c
+        t = nxt
+    return t
+
+
 class TestRationalPolynomial:
     def test_ring_operations(self):
         p = RationalPolynomial((F(1), F(2)))
@@ -49,7 +77,7 @@ class TestRationalPolynomial:
 
 
 class TestRecurrence:
-    @pytest.mark.parametrize("k", [2.7, 3.0, "3"], ids=repr)
+    @pytest.mark.parametrize("k", [2.7, 3.0, "3", True], ids=repr)
     @pytest.mark.parametrize(
         "call",
         [small_angle_poly, lambda k: leading_coefficient(k, 0.5),
@@ -61,6 +89,24 @@ class TestRecurrence:
         # small_angle_poly(2.7) returned P_2
         with pytest.raises(DomainError, match=f"^order {re.escape(repr(k))} is not an integer >= 1$"):
             call(k)
+
+    def test_bool_order_refused_after_order_one_is_cached(self):
+        # lru_cache keyed True and 1 alike, so True returned the cached P_1
+        assert small_angle_poly(1).coefficients == (F(1),)
+        with pytest.raises(DomainError, match="^order True is not an integer >= 1$"):
+            small_angle_poly(True)
+
+    @pytest.mark.parametrize("k", range(1, 12))
+    def test_table_matches_q_recurrence(self, k):
+        assert _scaled_table(k) == q_recurrence_table(k)
+
+    def test_power_of_two_free_polynomial(self):
+        # T_2 = 4 + y gives P_2(x) = T_2(2x)/4 = 1 + x/2
+        assert t_recurrence_table(2) == [4, 1]
+        for k in range(1, 8):
+            # P_k(x) = T_k(2x) / 4^(k-1), coefficient by coefficient
+            want = [F(c << i, 4 ** (k - 1)) for i, c in enumerate(t_recurrence_table(k))]
+            assert list(small_angle_poly(k).coefficients) == want
 
     def test_first_polynomials_exact(self):
         assert small_angle_poly(1).coefficients == (F(1),)
@@ -163,6 +209,9 @@ class TestOddPowerExpansion:
     def test_numeric_recurrence_domain_checks(self):
         with pytest.raises(DomainError, match="order 0"):
             leading_coefficient_numeric(0, 0.5)
+        for c1 in ("abc", None):  # "abc" raised a bare ValueError from mpmath
+            with pytest.raises(DomainError, match=f"^bad c1 {re.escape(repr(c1))}$"):
+                leading_coefficient(3, c1)
         for c1 in (-0.5, 0.0):
             with pytest.raises(DomainError, match="c1 must be positive"):
                 leading_coefficient_numeric(3, c1)
@@ -215,6 +264,33 @@ class TestOmegaEstimate:
             omega_estimate(8, 0.5, math.nan)
         with pytest.raises(DomainError, match="epsilon inf must be finite"):
             omega_estimate(8, 0.5, math.inf)
+
+    @pytest.mark.parametrize(
+        "r, epsilon, bad", [("0.5", 1e-3, "r '0.5'"), (1, "x", "epsilon 'x'"), (None, 1e-3, "r None")],
+        ids=["r-text", "epsilon-text", "r-None"],
+    )
+    def test_malformed_r_or_epsilon(self, r, epsilon, bad):
+        # these raised a bare TypeError from the comparisons; the numeric
+        # paths take numbers, not decimal strings
+        with pytest.raises(DomainError, match=f"^bad {re.escape(bad)}$"):
+            omega_estimate(4, r, epsilon)
+
+    @pytest.mark.parametrize("k, r, eps, estimate, c_k", [
+        (4, 1.0, 1e-4, "0.03148180481958916", "2352.0"),
+        (6, 0.8, 1e-3, "4.7425813763362754e-11", "18928548714278.496"),
+        (10, 0.35, 1e-2, "mpf('1.2619174609963105e-393')", "2.59384904492932e+106"),
+    ])
+    def test_double_and_its_mpf_give_the_same_bits(self, k, r, eps, estimate, c_k):
+        for conv in (float, mp.mpf):
+            assert repr(omega_estimate(k, conv(r), conv(eps))) == estimate
+            assert repr(leading_coefficient(k, conv(r))) == c_k
+
+    def test_reading_keeps_every_bit_of_an_mpf(self):
+        # r, epsilon and c1 are not rounded to doubles on the way in
+        with mp.workdps(40):
+            assert repr(omega_estimate(10, mp.mpf("0.35"), mp.mpf("1e-2"))) == (
+                "mpf('1.261917460996368704226194908832814304340222e-393')")
+            assert repr(leading_coefficient(10, mp.mpf("0.35"))) == "2.5938490449293603e+106"
 
 
 class TestSmallAngleConsistency:

@@ -18,15 +18,17 @@ endpoint of a pair taken from the other end in the loop, the lam in (0, 1)
 decision at both edges, the sticky bits of ``_div`` and ``_sqrt``, ``_mid``'s
 zero stripping, ``_add``'s sticky cutoff, ``_working_dps``'s n term,
 ``find_omega``'s stop test, and ``_dec``'s guard width, re-read step, tie
-window, constants, carry, sign and final rounding; and in ``rac``'s disc-bound
-sampler, the maximum taken, the ball radius and the range of z.  A
-mutant marked equivalent carries the reason no test can kill it.
+window, constants, carry, sign and final rounding; in ``rac``'s disc-bound
+sampler, the maximum taken, the ball radius and the range of z; and in
+``smallangle``'s exact table, T_k's factor 4, the back-shift from T_k to Q_k
+and the Kronecker slot's room for the sum of products.  A mutant marked
+equivalent carries the reason no test can kill it.
 
 It prints one line per mutant (killed or survived, seconds, and the first
 failing test, or the reason a survivor is equivalent); tests that run past
 TIMEOUT_S kill their mutant.  It exits 1 if a mutant that is not marked
 equivalent survives, or if the list is stale.  It always runs the whole list,
-two mutants at a time.  Standard library only; about 3.5 minutes on 2 CPUs.
+two mutants at a time.  Standard library only; about 4 minutes on 2 CPUs.
 """
 
 from __future__ import annotations
@@ -153,7 +155,17 @@ SAMPLER = (
     Mutant("sampler: z range halved to [-1, 0)", "rac.py", "z *= 2.0", "2.0", "1.0", DISTRIBUTION),
 )
 
-MUTANTS = FLIPS + SWAPS + OTHERS + DEC + SAMPLER
+SMALLANGLE = ("tests/test_smallangle.py",)
+TABLE = (
+    Mutant("table: T_k = 2*T_{k-1} + ...", "smallangle.py", "nxt[i] += c << 2", "<< 2", "<< 1",
+           SMALLANGLE),
+    Mutant("table: back-shift by k - 2", "smallangle.py", "return [(c << i) >> (k - 1)", "(k - 1)",
+           "(k - 2)", SMALLANGLE),
+    Mutant("kronecker: slot without the n term", "smallangle.py", "width = -(-(2 * max(coeffs)",
+           " + n.bit_length()", "", SMALLANGLE),
+)
+
+MUTANTS = FLIPS + SWAPS + OTHERS + DEC + SAMPLER + TABLE
 
 
 def mutate(text: str, m: Mutant) -> str:
