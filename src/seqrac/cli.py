@@ -331,12 +331,12 @@ def cmd_simulate(args) -> Output:
 
 
 def cmd_poly(args) -> Output:
+    from fractions import Fraction
+
     k = args.k
-    p = small_angle_poly(k)
-    expansion = odd_power_expansion(k)
-    lines = [f"P_{k}(x) = " + " + ".join(
-        f"({c})*x^{n}" if n else f"{c}" for n, c in enumerate(p.coefficients)
-    )]
+    expansion = odd_power_expansion(k)  # Q_k; P_k's coefficients are Q_k's over 2^(k-1)
+    p = [Fraction(b, len(expansion)) for b in expansion]
+    lines = [f"P_{k}(x) = " + " + ".join(f"({c})*x^{n}" if n else f"{c}" for n, c in enumerate(p))]
     lines.append(
         f"c_{k} = "
         + " + ".join(f"({b})*c1^{2 * n + 1}" for n, b in enumerate(expansion))

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .bloch import DensityOp, distinguishability
 from .channel import UnsharpBinaryMeasurement
-from .errors import DomainError, check_count, check_omega, check_r, check_seed, read
+from .errors import DomainError, check_count, check_omega, check_r, check_seed, read, real
 
 THRESHOLD_DENOM_TOL = 1e-15
 QUANTUM_DISC_TOL = 1e-9
@@ -62,8 +62,8 @@ def square_preparations(omega: float, r: float = 1.0) -> PreparationFamily:
     The marginal distinguishabilities are then exactly
     ``(cos(omega), r sin(omega))``; the states are pure iff ``r = 1``.
     """
-    omega = check_omega(read("omega", omega, float), math.pi / 2)
-    r = check_r(read("r", r, float))
+    omega = check_omega(read("omega", omega, lambda v: float(real(v))), math.pi / 2)
+    r = check_r(read("r", r, lambda v: float(real(v))))
     c, s = math.cos(omega), r * math.sin(omega)
     vectors = [((-1) ** x1 * c, 0.0, (-1) ** x2 * s) for x1, x2 in BITS]
     return PreparationFamily.from_bloch_vectors(vectors)

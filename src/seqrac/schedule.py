@@ -168,7 +168,7 @@ def lambda_sequence(omega, r, epsilon, n: int, dps: int = DEFAULT_DPS) -> Schedu
     import mpmath as mp
     from mpmath.libmp import mpf_shift, mpi_cos_sin
 
-    n = check_count(n, "n")
+    n, dps = check_count(n, "n"), check_count(dps, "dps")
     with mp.workdps(_working_dps(n, dps)):
         omega = check_omega(read("omega", omega, mp.mpf), mp.pi / 2)
         r, epsilon = _read_r_epsilon(r, epsilon)

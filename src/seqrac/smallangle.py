@@ -22,14 +22,15 @@ whose largest coefficient is about a quarter shorter (707 bits against 959
 at k = 10).  The exact tables are built on T_k, squaring by Kronecker
 substitution: the coefficients are packed into one Python int, which is
 squared once and sliced back into coefficients; Q_k's coefficients are then
-``q_i = t_i * 2^(i-k+1)``, an exact shift.  Numeric values of ``c_k`` and of
+``q_i = t_i * 2^(i-k+1)``, an exact shift.  ``odd_power_expansion`` owns that
+table and ``small_angle_poly`` divides it by ``2^(k-1)``; each is built once
+per call, and nothing is cached.  Numeric values of ``c_k`` and of
 the opening-angle estimate come from the O(k) value recurrence and build no
 polynomial.  mpmath and ``fractions`` are imported on first use.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -73,38 +74,30 @@ def _kronecker_square(coeffs: list[int]) -> list[int]:
     return [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
 
 
-def _scaled_table(k: int) -> list[int]:
-    """Coefficients of the integer polynomial Q_k = 2^(k-1) * P_k, as t_i * 2^(i-k+1) from T_k."""
+def odd_power_expansion(k: int) -> tuple[int, ...]:
+    """Integer coefficients of ``c_k`` on the odd powers ``c1^1, c1^3, ...``.
+
+    These are Q_k's, ``2^(k-1)`` times the P_k coefficients, read off T_k as
+    ``t_i * 2^(i-k+1)``; every even power of ``c1`` has coefficient zero exactly.
+    """
+    k = check_count(k, "order")
+    if k > POLY_CAP:
+        raise DomainError(f"polynomial order {k} outside [1, {POLY_CAP}]")
     t = [1]
     for _ in range(k - 1):
         nxt = [0] + _kronecker_square(t)
         for i, c in enumerate(t):
             nxt[i] += c << 2
         t = nxt
-    return [(c << i) >> (k - 1) for i, c in enumerate(t)]
+    return tuple((c << i) >> (k - 1) for i, c in enumerate(t))
 
 
-@functools.lru_cache(maxsize=None, typed=True)  # typed: True misses 1's entry and is refused
 def small_angle_poly(k: int) -> RationalPolynomial:
-    """The exact polynomial P_k of the quadratic recurrence."""
+    """The exact polynomial P_k of the quadratic recurrence: Q_k over ``2^(k-1)``, its length."""
     from fractions import Fraction
 
-    k = check_count(k, "order")
-    if k > POLY_CAP:
-        raise DomainError(f"polynomial order {k} outside [1, {POLY_CAP}]")
-    den = 1 << (k - 1)
-    return RationalPolynomial(tuple(Fraction(q, den) for q in _scaled_table(k)))
-
-
-def odd_power_expansion(k: int) -> tuple[int, ...]:
-    """Integer coefficients of ``c_k`` on the odd powers ``c1^1, c1^3, ...``.
-
-    These are ``2^(k-1)`` times the P_k coefficients; every even power of
-    ``c1`` has coefficient zero exactly.
-    """
-    p = small_angle_poly(k)
-    # Every denominator of P_k divides 2^(k-1), so the division is exact
-    return tuple((a.numerator << (k - 1)) // a.denominator for a in p.coefficients)
+    q = odd_power_expansion(k)
+    return RationalPolynomial(tuple(Fraction(c, len(q)) for c in q))
 
 
 def _float_if_normal(value):

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import seqrac.cli
 import seqrac.rac
+import seqrac.smallangle
 from seqrac import SearchExhausted, find_omega, lambda_sequence
 from seqrac.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
 from seqrac.schedule import DEFAULT_DPS
@@ -690,6 +691,18 @@ class TestPolyCommand:
 
     def test_order_above_cap_is_usage(self):
         assert main(["poly", "--k", str(POLY_CAP + 1)]) == EXIT_USAGE
+
+    def test_table_is_built_once(self, monkeypatch):
+        # P_8 and c_8 both print from one T_8: seven squarings, not fourteen
+        squarings, square = [], seqrac.smallangle._kronecker_square
+
+        def counted(coeffs):
+            squarings.append(len(coeffs))
+            return square(coeffs)
+
+        monkeypatch.setattr(seqrac.smallangle, "_kronecker_square", counted)
+        assert main(["poly", "--k", "8"]) == EXIT_OK
+        assert squarings == [2 ** j for j in range(7)]
 
 
 VERIFY_LINES = [

@@ -63,6 +63,7 @@ class TestSquarePreparations:
     @pytest.mark.parametrize("omega, r, message", [
         ("abc", 1.0, "bad omega 'abc'"), (0.3, "abc", "bad r 'abc'"), (0.3, None, "bad r None"),
         (None, 1.0, "bad omega None"), (float("nan"), 1.0, "omega nan outside (0, pi/2)"),
+        ("0.3", 1.0, "bad omega '0.3'"), (0.3, "1", "bad r '1'"),
     ])
     def test_malformed_numbers_are_domain_errors(self, omega, r, message):
         with pytest.raises(DomainError) as info:

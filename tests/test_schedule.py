@@ -133,6 +133,12 @@ class TestInputRules:
         with pytest.raises(DomainError, match=f"^n {re.escape(repr(n))} is not an integer >= 1$"):
             find_omega(n, 1, 1e-3) if search else lambda_sequence(0.1, 1, 1e-4, n)
 
+    @pytest.mark.parametrize("dps", [2.5, 0, -100, "50", True], ids=repr)
+    def test_dps_is_a_count(self, dps):
+        # dps=-100 returned an unproved, infeasible schedule cut at receiver 2
+        with pytest.raises(DomainError, match=f"^dps {re.escape(repr(dps))} is not an integer >= 1$"):
+            lambda_sequence(0.1, 1, 1e-4, 3, dps=dps)
+
 
 class TestFindOmega:
     def test_quartic_boundary_location(self):

@@ -21,7 +21,6 @@ from seqrac.schedule import DEFAULT_DPS, _working_dps
 from seqrac.smallangle import (
     POLY_CAP,
     _kronecker_square,
-    _scaled_table,
     leading_coefficient_numeric,
 )
 
@@ -80,25 +79,19 @@ class TestRecurrence:
     @pytest.mark.parametrize("k", [2.7, 3.0, "3", True], ids=repr)
     @pytest.mark.parametrize(
         "call",
-        [small_angle_poly, lambda k: leading_coefficient(k, 0.5),
+        [small_angle_poly, odd_power_expansion, lambda k: leading_coefficient(k, 0.5),
          lambda k: leading_coefficient_numeric(k, 0.5), lambda k: omega_estimate(k, 1.0, 1e-4)],
-        ids=["small_angle_poly", "leading_coefficient", "leading_coefficient_numeric",
-             "omega_estimate"],
+        ids=["small_angle_poly", "odd_power_expansion", "leading_coefficient",
+             "leading_coefficient_numeric", "omega_estimate"],
     )
     def test_order_is_not_truncated(self, call, k):
         # small_angle_poly(2.7) returned P_2
         with pytest.raises(DomainError, match=f"^order {re.escape(repr(k))} is not an integer >= 1$"):
             call(k)
 
-    def test_bool_order_refused_after_order_one_is_cached(self):
-        # lru_cache keyed True and 1 alike, so True returned the cached P_1
-        assert small_angle_poly(1).coefficients == (F(1),)
-        with pytest.raises(DomainError, match="^order True is not an integer >= 1$"):
-            small_angle_poly(True)
-
     @pytest.mark.parametrize("k", range(1, 12))
     def test_table_matches_q_recurrence(self, k):
-        assert _scaled_table(k) == q_recurrence_table(k)
+        assert odd_power_expansion(k) == tuple(q_recurrence_table(k))
 
     def test_power_of_two_free_polynomial(self):
         # T_2 = 4 + y gives P_2(x) = T_2(2x)/4 = 1 + x/2

@@ -21,7 +21,8 @@ zero stripping, ``_add``'s sticky cutoff, ``_working_dps``'s n term,
 window, constants, carry, sign and final rounding; in ``rac``'s disc-bound
 sampler, the maximum taken, the ball radius and the range of z; and in
 ``smallangle``'s exact table, T_k's factor 4, the back-shift from T_k to Q_k
-and the Kronecker slot's room for the sum of products.  A mutant marked
+and the Kronecker slot's room for the sum of products, and the 2^(k-1) over
+which ``poly`` prints P_k from that table.  A mutant marked
 equivalent carries the reason no test can kill it.
 
 It prints one line per mutant (killed or survived, seconds, and the first
@@ -159,10 +160,12 @@ SMALLANGLE = ("tests/test_smallangle.py",)
 TABLE = (
     Mutant("table: T_k = 2*T_{k-1} + ...", "smallangle.py", "nxt[i] += c << 2", "<< 2", "<< 1",
            SMALLANGLE),
-    Mutant("table: back-shift by k - 2", "smallangle.py", "return [(c << i) >> (k - 1)", "(k - 1)",
-           "(k - 2)", SMALLANGLE),
+    Mutant("table: back-shift by k - 2", "smallangle.py", "return tuple((c << i) >> (k - 1)",
+           "(k - 1)", "(k - 2)", SMALLANGLE),
     Mutant("kronecker: slot without the n term", "smallangle.py", "width = -(-(2 * max(coeffs)",
            " + n.bit_length()", "", SMALLANGLE),
+    Mutant("poly: P_k over 2^k", "cli.py", "p = [Fraction(b, len(expansion))", "len(expansion)",
+           "2 * len(expansion)", ("tests/test_cli.py::TestPolyCommand",)),
 )
 
 MUTANTS = FLIPS + SWAPS + OTHERS + DEC + SAMPLER + TABLE
