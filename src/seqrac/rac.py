@@ -140,6 +140,8 @@ def thresholds(dp: DistinguishabilityPair) -> ThresholdReport:
     """
     d1, d2 = dp.delta1, dp.delta2
     for d in (d1, d2):
+        if type(d) is not float:  # as in channel._check_lambda
+            read("distinguishability", d, real)
         if not 0.0 <= d <= 1.0:
             raise DomainError(f"distinguishability {d} outside [0, 1]")
     return ThresholdReport(

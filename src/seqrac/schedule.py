@@ -19,13 +19,14 @@ interesting regime: the feasible opening angle shrinks doubly exponentially
 with N, far below double range already for ~12 receivers), so the recursion
 is evaluated in the algebraically identical cancellation-free form
 
-    W_1 = 1 - cos w = 2 sin^2(w/2),       lam_k = (1+eps) 2^(k-1) W_k/(r sin w)
-    W_{k+1} = W_k + (1 - W_k) v_k / 2,    v_k = 1 - sqrt(1 - lam_k^2)
+    W_1 = 1 - cos w = sin^2 w / (1 + cos w),   lam_k = (1+eps) 2^(k-1) W_k/(r sin w)
+    W_{k+1} = W_k + t_k,   t_k = delta1_k v_k / 2,   v_k = 1 - sqrt(1 - lam_k^2)
 
-with r sin w = 2 r sin(w/2) cos(w/2), so one interval cos/sin of w/2 starts it,
-and P_k = 3/4 + eps W_k / 4 exactly.  The proof runs first; the report, built
-after it, holds interval midpoints, but each success is 3/4 + its margin eps W_k / 4,
-rounded to nearest, not a midpoint.  Each step squares a doubly-exponential quantity,
+beside delta1_k = cos(w) M_k / 2^(k-1) = 1 - W_k from delta1_1 = cos w: 1 - W_{k+1} while W_{k+1} < 1/2, so
+delta1 + W = 1 to 2^-prec as P_k's Born form needs, else delta1_k - t_k, as 1 - W cancels when w -> pi/2.
+One interval cos/sin of w starts it.  The proof runs first; the report, built after it, holds
+interval midpoints and M_k = 2^(k-1) delta1_k / cos w, but each success P_k is 3/4 + its margin
+eps W_k / 4, rounded to nearest, not a midpoint.  Each step squares a doubly-exponential quantity,
 so the relative error doubles per receiver; the working precision is ``dps`` plus
 ``ceil(n log10 2)`` digits to cover that loss, plus guard digits.  One reader converts
 omega, r and epsilon at that precision, strings to every digit.  mpmath loads on first use.
@@ -59,7 +60,7 @@ class Schedule:
     """A synthesized unsharpness sequence and its per-receiver quantities.
 
     Numeric entries are mpmath reals, built after the proof (which starts from
-    one interval cos/sin of omega/2) as the midpoints of its intervals, except
+    one interval cos/sin of omega) as the midpoints of its intervals, except
     ``successes``: 3/4 + each ``success_margins`` entry P_k - 3/4, not a midpoint.
     ``first_failure`` is the 1-based index of the first lam outside (0, 1).
     """
@@ -159,37 +160,34 @@ def lambda_sequence(omega, r, epsilon, n: int, dps: int = DEFAULT_DPS) -> Schedu
     """Build the schedule for ``n`` receivers at opening angle ``omega``.
 
     ``omega``, ``r`` and ``epsilon`` are read at the working precision, not as doubles.
-    From one interval cos/sin of ``omega/2`` the recurrence runs on int endpoint
+    From one interval cos/sin of ``omega`` the recurrence runs on int endpoint
     pairs at ``_working_dps(n, dps)`` digits, without ``mp.iv``, and only proves:
     the schedule is infeasible at, and cut after, the first receiver whose lam is
     not certainly in (0, 1), an undecided comparison included.  The report, built
     after the proof, holds interval midpoints; a success is 3/4 + its margin instead.
     """
     import mpmath as mp
-    from mpmath.libmp import mpf_shift, mpi_cos_sin
+    from mpmath.libmp import mpi_cos_sin
 
     n, dps = check_count(n, "n"), check_count(dps, "dps")
     with mp.workdps(_working_dps(n, dps)):
         omega = check_omega(read("omega", omega, mp.mpf), mp.pi / 2)
         r, epsilon = _read_r_epsilon(r, epsilon)
-        prec, h = mp.mp.prec, mpf_shift(omega._mpf_, -1)  # omega/2, exact
+        prec, w = mp.mp.prec, omega._mpf_
         # From here each end is a (mantissa, exponent) int pair: *_lo rounds down, *_hi up
-        (c_lo, c_hi), (s_lo, s_hi) = ([x[1:3] for x in iv] for iv in mpi_cos_sin((h, h), prec))
-        s2_lo, s2_hi = (s_lo[0], s_lo[1] + 1), (s_hi[0], s_hi[1] + 1)  # 2 sin(omega/2), exact
-        # 1 - cos w = 2 sin^2(w/2), stable, and r sin w = 2 r sin(w/2) cos(w/2)
-        w_lo, w_hi = _mul(s2_lo, s_lo, prec, False), _mul(s2_hi, s_hi, prec, True)
-        one, rm, eps, m_lo, m_hi = (1, 0), r._mpf_[1:3], epsilon._mpf_[1:3], (1, 0), (1, 0)
-        rs_lo = _mul(rm, _mul(s2_lo, c_lo, prec, False), prec, False)
-        rs_hi = _mul(rm, _mul(s2_hi, c_hi, prec, True), prec, True)
+        (c_lo, c_hi), (s_lo, s_hi) = ([x[1:3] for x in iv] for iv in mpi_cos_sin((w, w), prec))
+        one, rm, eps = (1, 0), r._mpf_[1:3], epsilon._mpf_[1:3]
+        # delta1 = cos w, W_1 = 1 - cos w = sin^2 w / (1 + cos w), both stable, and r sin w
+        d1, rs_lo, rs_hi = (c_lo, c_hi), _mul(rm, s_lo, prec, False), _mul(rm, s_hi, prec, True)
+        w_lo = _div(_mul(s_lo, s_lo, prec, False), _add(one, c_hi, prec, True), prec, False)
+        w_hi = _div(_mul(s_hi, s_hi, prec, True), _add(one, c_lo, prec, False), prec, True)
         inf_lo, inf_hi = _add(one, eps, prec, False), _add(one, eps, prec, True)
-        ends, first_failure = [], None  # per receiver: (lo, hi) of lam, M, delta1, delta2 and W
+        ends, first_failure = [], None  # per receiver: (lo, hi) of lam, delta1, delta2 and W
         for k in range(1, n + 1):
-            # cos(w) M_k / 2^(k-1) and r sin(w) / 2^(k-1)
-            d1 = _sub(one, w_hi, prec, False), _sub(one, w_lo, prec, True)
-            d2 = (rs_lo[0], rs_lo[1] + 1 - k), (rs_hi[0], rs_hi[1] + 1 - k)
+            d2 = (rs_lo[0], rs_lo[1] + 1 - k), (rs_hi[0], rs_hi[1] + 1 - k)  # r sin(w) / 2^(k-1)
             lam_lo = _div(_mul(inf_lo, w_lo, prec, False), d2[1], prec, False)
             lam_hi = _div(_mul(inf_hi, w_hi, prec, True), d2[0], prec, True)
-            ends.append(((lam_lo, lam_hi), (m_lo, m_hi), d1, d2, (w_lo, w_hi)))
+            ends.append(((lam_lo, lam_hi), d1, d2, (w_lo, w_hi)))
             # lam_k must lie certainly in (0, 1); an undecided comparison fails
             if not (lam_lo[0] > 0 and lam_hi[0].bit_length() + lam_hi[1] <= 0):
                 first_failure = k
@@ -199,17 +197,22 @@ def lambda_sequence(omega, r, epsilon, n: int, dps: int = DEFAULT_DPS) -> Schedu
             den_lo = _add(one, _sqrt(_sub(one, sq_hi, prec, False), prec, False), prec, False)
             den_hi = _add(one, _sqrt(_sub(one, sq_lo, prec, True), prec, True), prec, True)
             v_lo, v_hi = _div(sq_lo, den_hi, prec, False), _div(sq_hi, den_lo, prec, True)
-            # W_{k+1} = W_k + delta1 v / 2 and M_{k+1} = M_k (2 - v)
-            w_lo = _add(w_lo, _mul(d1[0], (v_lo[0], v_lo[1] - 1), prec, False), prec, False)
-            w_hi = _add(w_hi, _mul(d1[1], (v_hi[0], v_hi[1] - 1), prec, True), prec, True)
-            m_lo = _mul(m_lo, _sub((1, 1), v_hi, prec, False), prec, False)
-            m_hi = _mul(m_hi, _sub((1, 1), v_lo, prec, True), prec, True)
-        # The report: interval midpoints, the margin that of eps W_k / 4, and success = 3/4 + margin
+            # t = delta1 v / 2, W_{k+1} = W_k + t, and delta1 - t, read as 1 - W while W < 1/2
+            t_lo = _mul(d1[0], (v_lo[0], v_lo[1] - 1), prec, False)
+            t_hi = _mul(d1[1], (v_hi[0], v_hi[1] - 1), prec, True)
+            w_lo, w_hi = _add(w_lo, t_lo, prec, False), _add(w_hi, t_hi, prec, True)
+            if w_hi[0].bit_length() + w_hi[1] < 0:
+                d1 = _sub(one, w_hi, prec, False), _sub(one, w_lo, prec, True)
+            else:
+                d1 = _sub(d1[0], t_hi, prec, False), _sub(d1[1], t_lo, prec, True)
+        # The report: midpoints, M_k = 2^(k-1) delta1 / cos w, the margin eps W_k / 4, success 3/4 + it
         eps4, three_quarters = (eps[0], eps[1] - 2), mp.mpf(0.75)
         lambdas, m_products, delta1s, delta2s, margins = zip(*(
-            [mp.make_mpf(_mid(lo, hi, prec)) for lo, hi in (lam, m, d1, d2, (
+            [mp.make_mpf(_mid(lo, hi, prec)) for lo, hi in (lam, (
+                _div((d1[0][0], d1[0][1] + k - 1), c_hi, prec, False),
+                _div((d1[1][0], d1[1][1] + k - 1), c_lo, prec, True)), d1, d2, (
                 _mul(eps4, w[0], prec, False), _mul(eps4, w[1], prec, True)))]
-            for lam, m, d1, d2, w in ends))
+            for k, (lam, d1, d2, w) in enumerate(ends, 1)))
         return Schedule(omega, r, epsilon, n, lambdas, m_products,
                         tuple(map(DistinguishabilityPair, delta1s, delta2s)),
                         tuple(three_quarters + g for g in margins), margins,

@@ -1005,3 +1005,37 @@ class TestContract:
         argv = ["simulate", "--config", "sim.cfg", "--threads", threads, "--out", "out"]
         code, err = run_in_scratch(argv, config)
         assert code in (EXIT_OK, EXIT_INFEASIBLE, EXIT_USAGE), (config, err)
+
+
+X_AXIS = seqrac.SharpObservable.from_axis((1.0, 0.0, 0.0))
+Z_AXIS = seqrac.SharpObservable.from_axis((0.0, 0.0, 1.0))
+
+
+class TestApiContract:
+    """A public name given a value it cannot use raises a SeqracError, never a bare
+    ValueError or TypeError; the CLI, which passes floats, is not affected."""
+
+    @pytest.mark.parametrize("name, args, message", [
+        pytest.param("kraus_pair", (Z_AXIS, "x"), "bad unsharpness parameter 'x'", id="kraus-text"),
+        pytest.param("kraus_pair", (Z_AXIS, None), "bad unsharpness parameter None", id="kraus-none"),
+        pytest.param("kraus_pair", (Z_AXIS, 2.0), "unsharpness parameter 2.0 outside [0, 1]",
+                     id="kraus-range"),
+        pytest.param("UnsharpBinaryMeasurement", (Z_AXIS, "x"), "bad unsharpness parameter 'x'",
+                     id="measurement-text"),
+        pytest.param("per_bob_success", (seqrac.DistinguishabilityPair(0.5, 0.5), "x"),
+                     "bad unsharpness parameter 'x'", id="success-text"),
+        pytest.param("SequentialChannelStep", (X_AXIS, Z_AXIS, "x"), "bad unsharpness parameter 'x'",
+                     id="step-text"),
+        # text that float() parses is refused too, as for omega and r
+        pytest.param("SequentialChannelStep", (X_AXIS, Z_AXIS, "0.5"),
+                     "bad unsharpness parameter '0.5'", id="step-numeric-text"),
+        pytest.param("thresholds", (seqrac.DistinguishabilityPair("a", 0.5),),
+                     "bad distinguishability 'a'", id="thresholds-text"),
+        # a Decimal is no numbers.Real
+        pytest.param("thresholds", (seqrac.DistinguishabilityPair(decimal.Decimal("0.5"), 0.5),),
+                     "bad distinguishability Decimal('0.5')", id="thresholds-decimal"),
+    ])
+    def test_malformed_value_is_a_domain_error(self, name, args, message):
+        with pytest.raises(seqrac.DomainError) as info:
+            getattr(seqrac, name)(*args)
+        assert str(info.value) == message

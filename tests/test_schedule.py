@@ -28,12 +28,13 @@ from seqrac import (
     propagate,
     square_preparations,
 )
-from seqrac.schedule import DEFAULT_DPS, _add, _div, _mid, _mul, _sqrt, _sub, _working_dps
+from seqrac.schedule import DEFAULT_DPS, GUARD_DIGITS, _add, _div, _mid, _mul, _sqrt, _sub, _working_dps
 
 X = SharpObservable.from_axis((1.0, 0.0, 0.0))
 Z = SharpObservable.from_axis((0.0, 0.0, 1.0))
 with mp.workdps(100):
     NEAR_HALF_PI = mp.nstr(mp.pi / 2 - mp.mpf(10) ** -60, 75)
+    NEAR_HALF_PI_50 = mp.nstr(mp.pi / 2 - mp.mpf(10) ** -50, 75)
 
 
 class TestLambdaSequence:
@@ -105,6 +106,26 @@ class TestLambdaSequence:
             lambda_sequence(0.3, 1.0, 0.0, 4)
         with pytest.raises(DomainError):
             lambda_sequence(0.3, 1.0, 1e-4, 0)
+
+    @pytest.mark.parametrize("omega, epsilon, n", [
+        pytest.param(NEAR_HALF_PI, 1e-4, 1, id="pi/2-1e-60"),
+        pytest.param(NEAR_HALF_PI_50, 1e-60, 2, id="pi/2-1e-50"),
+    ])
+    def test_near_half_pi_against_the_m_recurrence(self, omega, epsilon, n):
+        # delta1 = cos(w) M_k / 2^(k-1) and M_{k+1} = M_k (1 + sqrt(1 - lam_k^2)), with
+        # lam_k from the direct formula, at 3x the working digits; cos w -> 0 and W -> 1
+        s = lambda_sequence(omega, 1.0, epsilon, n)
+        assert len(s.lambdas) == n
+        with mp.workdps(3 * _working_dps(n, DEFAULT_DPS)):
+            c, sin, m = mp.cos(s.omega), mp.sin(s.omega), mp.mpf(1)
+            for k, (d, got_m) in enumerate(zip(s.deltas, s.m_products), 1):
+                assert abs(got_m / m - 1) < mp.mpf("1e-30"), k
+                # delta1 and M_k share the relative error that lam_1 -> 1 gives M_2 and on;
+                # delta1_1 = cos w has none of it
+                tol = mp.mpf("1e-50") if k == 1 else mp.mpf("1e-30")
+                assert abs(d.delta1 / (c * m / 2 ** (k - 1)) - 1) < tol, k
+                lam = (1 + s.epsilon) * (2 ** (k - 1) - c * m) / (s.r * sin)
+                m *= 1 + mp.sqrt(1 - lam**2)
 
     @pytest.mark.parametrize("omega", ["xyz", "", "0.1.2"])
     def test_malformed_omega_string(self, omega):
@@ -301,15 +322,15 @@ def reference_lambda_sequence(omega, r, epsilon, n, dps=DEFAULT_DPS):
         saved, iv.dps = iv.dps, mp.mp.dps
         try:
             w, eps = iv.mpf(omega), iv.mpf(epsilon)
-            s, c = iv.sin(w / 2), iv.cos(w / 2)
-            rs = iv.mpf(r) * (2 * s * c)  # r sin(omega)
-            w_cur = 2 * s * s  # 1 - cos(omega), stable
+            s, c = iv.sin(w), iv.cos(w)
+            rs = iv.mpf(r) * s  # r sin(omega)
+            w_cur = s * s / (1 + c)  # 1 - cos(omega), stable
+            delta1 = c
             inflate = 1 + eps
-            m_cur = iv.mpf(1)
             for k in range(1, n + 1):
-                delta1 = 1 - w_cur
                 delta2 = iv.ldexp(rs, 1 - k)
                 lam = inflate * w_cur / delta2
+                m_cur = iv.ldexp(delta1 / c, k - 1)
                 lam_k, m_k, delta1_k, delta2_k, margin = (
                     mp.mpf(x.mid) for x in (lam, m_cur, delta1, delta2, eps * w_cur / 4)
                 )
@@ -323,8 +344,10 @@ def reference_lambda_sequence(omega, r, epsilon, n, dps=DEFAULT_DPS):
                     break
                 lam_sq = lam * lam
                 v = lam_sq / (1 + iv.sqrt(1 - lam_sq))
-                w_cur = w_cur + delta1 * v / 2
-                m_cur = m_cur * (2 - v)
+                t = delta1 * v / 2
+                w_cur = w_cur + t
+                # 1 - W does not cancel while W < 1/2; past it delta1 - t does not
+                delta1 = 1 - w_cur if w_cur.b < 0.5 else delta1 - t
         finally:
             iv.dps = saved
         return Schedule(
@@ -338,6 +361,33 @@ def assert_same_schedule(got, want):
         assert getattr(got, field.name) == getattr(want, field.name), field.name
 
 
+def assert_inside_the_m_recurrence(got):
+    """Each m_product lies in the mp.iv enclosure of M_{k+1} = M_k (2 - v), each delta1 in
+    1 - W's and in cos(w) M_k / 2^(k-1)'s: the half-angle recurrence that carries M and no
+    delta1 of its own, at the working precision less its guard digits, so that the pass's
+    last-place rounding stays inside."""
+    iv, n = mp.iv, got.n
+    saved = iv.dps
+    try:
+        with mp.workdps(_working_dps(n, DEFAULT_DPS)):
+            iv.dps = mp.mp.dps - GUARD_DIGITS
+            w, r, eps = (iv.mpf(x) for x in (got.omega, got.r, got.epsilon))
+            s = iv.sin(w / 2)
+            w_cur, m_cur, rs, cos = 2 * s * s, iv.mpf(1), r * iv.sin(w), iv.cos(w)
+            for k, (m, d) in enumerate(zip(got.m_products, got.deltas), 1):
+                delta1 = 1 - w_cur
+                assert m in m_cur, (n, k)
+                assert d.delta1 in delta1, (n, k)
+                assert d.delta1 in cos * iv.ldexp(m_cur, 1 - k), (n, k)
+                if k == len(got.lambdas):  # the last receiver: its lam may exceed 1
+                    break
+                lam = (1 + eps) * w_cur / iv.ldexp(rs, 1 - k)
+                v = lam * lam / (1 + iv.sqrt(1 - lam * lam))
+                w_cur, m_cur = w_cur + delta1 * v / 2, m_cur * (2 - v)
+    finally:
+        iv.dps = saved
+
+
 class TestReferenceOracle:
     """``lambda_sequence`` equals the ``mp.iv`` recurrence field for field, so
     a change in its int endpoint primitives or in mpmath's interval
@@ -346,8 +396,8 @@ class TestReferenceOracle:
     @pytest.mark.parametrize(
         "omega, n, dps",
         [("0.03125", 4, DEFAULT_DPS), ("0.0315", 4, DEFAULT_DPS), ("1e-6", 8, DEFAULT_DPS)]
-        # near pi/2, W_1 -> 1 and delta1 -> 0
-        + [(w, n, DEFAULT_DPS) for w in ("1.0", "1.5", "1.5707963267948966", NEAR_HALF_PI)
+        # past W = 1/2 delta1 is delta1 - t (at 1.25 inexact); near pi/2, W_1 -> 1 and delta1 -> 0
+        + [(w, n, DEFAULT_DPS) for w in ("1.0", "1.25", "1.5", "1.5707963267948966", NEAR_HALF_PI)
            for n in (1, 3)],
     )
     def test_named_points(self, omega, n, dps):
@@ -379,7 +429,7 @@ class TestReferenceOracle:
         # with a spread, omega is find_omega's angle times 1 +- spread: just
         # above it lam_n passes 1, just below it is proved feasible
         rng = random.Random(20261018)
-        outcomes = set()
+        drawn = []
         for _ in range(30):
             n, r, eps = rng.randint(1, n_max), rng.uniform(0.3, 1.0), 10 ** rng.uniform(-6, -2)
             omega = mp.mpf(10) ** rng.uniform(-40, -0.2)
@@ -390,14 +440,18 @@ class TestReferenceOracle:
             got = lambda_sequence(omega, r, eps, n)
             if spread:
                 assert got.feasible == (side < 0), (n, r, eps, side)
-            assert_same_schedule(got, reference_lambda_sequence(omega, r, eps, n))
-            # success = 3/4 + margin is the Born form 1/2 + (delta1 + lam delta2)/4
+            # success = 3/4 + margin is the Born form 1/2 + (delta1 + lam delta2)/4, which
+            # needs delta1 + W = 1 to 2^-prec
             with mp.workdps(_working_dps(n, DEFAULT_DPS)):
                 for lam, d, p in zip(got.lambdas, got.deltas, got.successes):
                     born = mp.mpf(1) / 2 + (d.delta1 + lam * d.delta2) / 4
                     assert abs(p - born) <= mp.ldexp(1, 2 - mp.mp.prec), (n, r, eps)
-            outcomes.add(got.feasible)
-        assert outcomes == {True, False}
+            assert_inside_the_m_recurrence(got)
+            drawn.append((omega, r, eps, n, got))
+        assert {got.feasible for *_, got in drawn} == {True, False}
+        # then the oracle, which mirrors the pass, so that a fault shows first in a check that does not
+        for omega, r, eps, n, got in drawn:
+            assert_same_schedule(got, reference_lambda_sequence(omega, r, eps, n))
 
 
 @st.composite

@@ -25,7 +25,8 @@ seed 1 (66 ``simulate --threads 2`` runs; from ``bench/workloads.py``),
 ``poly --k 1..10 --out``, ``schedule`` at a numeric omega in {0.03125,
 0.0315, 0.001, 0.3, 1e-9, 1.0, 1.5, 1.5707963267948966, pi/2 - 10^-60 to
 75 digits} for n in {1, 2, 3, 4, 5, 8, 12} (feasible and
-infeasible; near pi/2, 1 - cos omega -> 1 and cos omega -> 0),
+infeasible; near pi/2, W_1 = 1 - cos omega -> 1, where 1 - W_1 would cancel,
+so these runs pin delta1 read as cos omega itself),
 ``schedule --omega auto`` for n in {1, 6, 7, 40, 64, 100, 250, 500} at r in
 {0.3, 1} and epsilon in {1e-6, 0.01} and at n = 1000, r = 1, epsilon = 1e-4
 (decimal exponents of about 300 digits), and four ``simulate`` configs,

@@ -13,10 +13,11 @@ files (or test ids) named for it run, stopping at the first failure.  First
 the same tests run on an unmutated copy, which must pass.
 
 The list covers the certified schedule kernel and the decimal printer: each
-directed rounding in the receiver loop and in ``_round`` flipped, each
-endpoint of a pair taken from the other end in the loop, the lam in (0, 1)
-decision at both edges, the sticky bits of ``_div`` and ``_sqrt``, ``_mid``'s
-zero stripping, ``_add``'s sticky cutoff, ``_working_dps``'s n term,
+directed rounding in the prelude, the receiver loop, the report's M and margin
+and ``_round`` flipped, each endpoint of a pair taken from the other end,
+delta1 held to one of its two forms and their W < 1/2 switch moved to W < 1,
+the lam in (0, 1) decision at both edges, the sticky bits of ``_div`` and
+``_sqrt``, ``_mid``'s zero stripping, ``_add``'s sticky cutoff, ``_working_dps``'s n term,
 ``find_omega``'s stop test, and ``_dec``'s guard width, re-read step, tie
 window, constants, carry, sign and final rounding; in ``rac``'s disc-bound
 sampler, the maximum taken, the ball radius and the range of z; and in
@@ -68,15 +69,16 @@ def _kernel(name, anchor, old, new, nth=0, equivalent=None):
 
 
 # (what a line computes, its anchor, its directed roundings down, and up): the
-# prelude, the receiver loop, and the report's margins
+# prelude, the receiver loop, and the report's M and margins
 ROUNDINGS = (
-    ("W_1", "w_lo, w_hi = _mul(", 1, 1), ("r sin lo", "rs_lo = _mul(", 2, 0),
-    ("r sin hi", "rs_hi = _mul(", 0, 2), ("1+eps", "inf_lo, inf_hi = _add(", 1, 1),
-    ("delta1", "d1 = _sub(", 1, 1), ("lam lo", "lam_lo = _div(", 2, 0),
-    ("lam hi", "lam_hi = _div(", 0, 2), ("lam^2", "sq_lo, sq_hi = _mul(", 1, 1),
-    ("den lo", "den_lo = _add(", 3, 0), ("den hi", "den_hi = _add(", 0, 3),
-    ("v", "v_lo, v_hi = _div(", 1, 1), ("W lo", "w_lo = _add(", 2, 0),
-    ("W hi", "w_hi = _add(", 0, 2), ("M lo", "m_lo = _mul(", 2, 0), ("M hi", "m_hi = _mul(", 0, 2),
+    ("W_1 lo", "w_lo = _div(_mul(s_lo", 2, 1), ("W_1 hi", "w_hi = _div(_mul(s_hi", 1, 2),
+    ("r sin", "d1, rs_lo, rs_hi = ", 1, 1), ("1+eps", "inf_lo, inf_hi = _add(", 1, 1),
+    ("lam lo", "lam_lo = _div(", 2, 0), ("lam hi", "lam_hi = _div(", 0, 2),
+    ("lam^2", "sq_lo, sq_hi = _mul(", 1, 1), ("den lo", "den_lo = _add(", 3, 0),
+    ("den hi", "den_hi = _add(", 0, 3), ("v", "v_lo, v_hi = _div(", 1, 1),
+    ("t lo", "t_lo = _mul(", 1, 0), ("t hi", "t_hi = _mul(", 0, 1), ("W", "w_lo, w_hi = _add(", 1, 1),
+    ("delta1 1-W", "d1 = _sub(one", 1, 1), ("delta1 - t", "d1 = _sub(d1[0]", 1, 1),
+    ("M lo", "_div((d1[0][0]", 1, 0), ("M hi", "_div((d1[1][0]", 0, 1),
     ("margin", "_mul(eps4, w[0]", 1, 1),
 )
 FLIPS = tuple(
@@ -89,7 +91,7 @@ FLIPS = tuple(
 
 # An endpoint taken from the wrong end of its pair: (line, old, new)
 SWAPS = tuple(_kernel(f"swap {line.split(' =')[0]}: {old}", line, old, new) for line, old, new in (
-    ("d1 = _sub(", "w_hi", "w_lo"), ("d1 = _sub(", "w_lo", "w_hi"),
+    ("w_lo = _div(_mul(s_lo", "c_hi", "c_lo"), ("w_hi = _div(_mul(s_hi", "c_lo", "c_hi"),
     ("lam_lo = _div(", "inf_lo", "inf_hi"), ("lam_lo = _div(", "w_lo", "w_hi"),
     ("lam_lo = _div(", "d2[1]", "d2[0]"), ("lam_hi = _div(", "inf_hi", "inf_lo"),
     ("lam_hi = _div(", "w_hi", "w_lo"), ("lam_hi = _div(", "d2[0]", "d2[1]"),
@@ -98,11 +100,22 @@ SWAPS = tuple(_kernel(f"swap {line.split(' =')[0]}: {old}", line, old, new) for 
     ("den_lo = _add(", "sq_hi", "sq_lo"), ("den_hi = _add(", "sq_lo", "sq_hi"),
     ("v_lo, v_hi = _div(", "_div(sq_lo", "_div(sq_hi"), ("v_lo, v_hi = _div(", "den_hi", "den_lo"),
     ("v_lo, v_hi = _div(", "_div(sq_hi", "_div(sq_lo"), ("v_lo, v_hi = _div(", "den_lo", "den_hi"),
-    ("w_lo = _add(", "d1[0]", "d1[1]"), ("w_lo = _add(", "(v_lo[0], v_lo[1]", "(v_hi[0], v_hi[1]"),
-    ("w_hi = _add(", "d1[1]", "d1[0]"), ("w_hi = _add(", "(v_hi[0], v_hi[1]", "(v_lo[0], v_lo[1]"),
-    ("m_lo = _mul(", "v_hi", "v_lo"), ("m_hi = _mul(", "v_lo", "v_hi"),
+    ("t_lo = _mul(", "d1[0]", "d1[1]"), ("t_lo = _mul(", "(v_lo[0], v_lo[1]", "(v_hi[0], v_hi[1]"),
+    ("t_hi = _mul(", "d1[1]", "d1[0]"), ("t_hi = _mul(", "(v_hi[0], v_hi[1]", "(v_lo[0], v_lo[1]"),
+    ("w_lo, w_hi = _add(", "w_lo, t_lo", "w_lo, t_hi"), ("w_lo, w_hi = _add(", "w_hi, t_hi", "w_hi, t_lo"),
+    ("d1 = _sub(one", "w_hi", "w_lo"), ("d1 = _sub(one", "w_lo", "w_hi"),
+    ("d1 = _sub(d1[0]", "_sub(d1[0], t_hi", "_sub(d1[1], t_hi"),
+    ("d1 = _sub(d1[0]", "t_hi", "t_lo"), ("d1 = _sub(d1[0]", "t_lo", "t_hi"),
+    ("d1 = _sub(d1[0]", "_sub(d1[1], t_lo", "_sub(d1[0], t_lo"),
+    ("_div((d1[0][0]", "c_hi", "c_lo"), ("_div((d1[1][0]", "c_lo", "c_hi"),
 ))
 
+# delta1's two forms: 1 - W where W < 1/2, delta1 - t past it.  Each one-form mutant runs
+# only a test that does not mirror the pass: near pi/2 1 - W cancels, and over ~38 receivers
+# delta1 - t drifts from 1 - W by more than the Born form of P_k allows
+SWITCH = "if w_hi[0].bit_length() + w_hi[1] < 0:"
+NEAR_HALF_PI = ("tests/test_schedule.py::TestLambdaSequence::test_near_half_pi_against_the_m_recurrence",)
+BORN = ("tests/test_schedule.py::TestReferenceOracle::test_seeded_grid[boundary-1e-20]",)
 DECISION = "if not (lam_lo[0] > 0 and"
 OTHERS = (
     _kernel("round: direction", "if up else m >> drop", "if up", "if not up"),
@@ -111,6 +124,11 @@ OTHERS = (
         "exponent never underflows, so its mantissa is never 0")),
     _kernel("decide: lam < 1 as < 2", DECISION, "<= 0):", "<= 1):"),
     _kernel("decide: lam < 1 as < 1/2", DECISION, "<= 0):", "< 0):"),
+    Mutant("delta1: always 1 - W", "schedule.py", SWITCH, "w_hi[0].bit_length() + w_hi[1] < 0",
+           "True", NEAR_HALF_PI),
+    Mutant("delta1: always delta1 - t", "schedule.py", SWITCH, "w_hi[0].bit_length() + w_hi[1] < 0",
+           "False", BORN),
+    _kernel("delta1: W < 1/2 as W < 1", SWITCH, "< 0:", "<= 0:"),
     _kernel("div: sticky bit", "return _round(q | (rem > 0)", "q | (rem > 0)", "q"),
     _kernel("div: shift", "shift = prec + 2 - a[0].bit_length() + b[0]", "prec + 2", "prec"),
     _kernel("sqrt: sticky bit", "return _round(root | (", "root | (root * root != a[0] << shift)",
