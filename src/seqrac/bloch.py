@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegeneratePair, InvalidState
+from .errors import DegeneratePair, DomainError, InvalidState, read, real
 
 STATE_TOL = 1e-12
 DEGENERACY_TOL = 1e-12
@@ -20,8 +20,15 @@ _ANTICOMMUTE_TOL = 1e-12
 
 
 def _as_vec(v) -> tuple[float, float, float]:
-    x, y, z = v
-    return (float(x), float(y), float(z))
+    """``v``'s three components as floats; other than three components, or one that is no
+    real number, such as text, is a DomainError."""
+    try:
+        x, y, z = v
+    except (TypeError, ValueError) as exc:  # not iterable, or not of length 3
+        raise DomainError(f"bad Bloch vector {v!r}") from exc
+    if type(x) is type(y) is type(z) is float:  # as in channel._check_lambda
+        return (x, y, z)
+    return tuple(read("Bloch vector component", c, lambda v: float(real(v))) for c in (x, y, z))
 
 
 @dataclass(frozen=True)

@@ -331,12 +331,15 @@ def cmd_simulate(args) -> Output:
 
 
 def cmd_poly(args) -> Output:
-    from fractions import Fraction
-
     k = args.k
     expansion = odd_power_expansion(k)  # Q_k; P_k's coefficients are Q_k's over 2^(k-1)
-    p = [Fraction(b, len(expansion)) for b in expansion]
-    lines = [f"P_{k}(x) = " + " + ".join(f"({c})*x^{n}" if n else f"{c}" for n, c in enumerate(p))]
+    terms, den = [], len(expansion)
+    for n, b in enumerate(expansion):
+        low = (b | den) & -(b | den)  # 2^z, z = b's trailing zero bits but at most k - 1
+        z = low.bit_length() - 1  # b / den in lowest terms, as Fraction prints it
+        c = f"{b >> z}" if low == den else f"{b >> z}/{den >> z}"
+        terms.append(f"({c})*x^{n}" if n else c)
+    lines = [f"P_{k}(x) = " + " + ".join(terms)]
     lines.append(
         f"c_{k} = "
         + " + ".join(f"({b})*c1^{2 * n + 1}" for n, b in enumerate(expansion))

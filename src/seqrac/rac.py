@@ -132,18 +132,22 @@ def avg_success(
     return total / 8.0
 
 
+def _check_delta(d):
+    """``d`` if it is a real number in [0, 1]; the one distinguishability rule."""
+    if type(d) is not float:  # as in channel._check_lambda
+        read("distinguishability", d, real)
+    if not 0.0 <= d <= 1.0:
+        raise DomainError(f"distinguishability {d} outside [0, 1]")
+    return d
+
+
 def thresholds(dp: DistinguishabilityPair) -> ThresholdReport:
     """Symmetric and asymmetric critical unsharpness for a delta pair.
 
     symmetric: ``1/(Delta1+Delta2)``; asymmetric (lam1 = 1):
     ``(1-Delta1)/Delta2``.  A vanishing denominator gives +inf.
     """
-    d1, d2 = dp.delta1, dp.delta2
-    for d in (d1, d2):
-        if type(d) is not float:  # as in channel._check_lambda
-            read("distinguishability", d, real)
-        if not 0.0 <= d <= 1.0:
-            raise DomainError(f"distinguishability {d} outside [0, 1]")
+    d1, d2 = _check_delta(dp.delta1), _check_delta(dp.delta2)
     return ThresholdReport(
         lambda_symmetric_critical=1.0 / (d1 + d2) if d1 + d2 >= THRESHOLD_DENOM_TOL else math.inf,
         lambda_asymmetric_critical=(1.0 - d1) / d2 if d2 >= THRESHOLD_DENOM_TOL else math.inf,

@@ -22,7 +22,7 @@ from .channel import SequentialChannelStep, _channel_bloch, _check_lambda, _dist
 from .channel import nonselective_step  # noqa: F401
 from .errors import AlignmentError, AxisError, DomainError
 from .rac import DistinguishabilityPair, PreparationFamily, delta_pair
-from .rac import _half_differences, _vector_delta_pair
+from .rac import _check_delta, _half_differences, _vector_delta_pair
 
 ALIGNMENT_TOL = 1e-9
 AXIS_TOL = 1e-12
@@ -52,7 +52,8 @@ class SequentialTrace(NamedTuple):
 
 def per_bob_success(dp_k: DistinguishabilityPair, lambda_k: float) -> float:
     """Receiver success ``1/2 + (Delta1 + lam*Delta2)/4`` (sharp bit-1 axis)."""
-    return 0.5 + 0.25 * (dp_k.delta1 + _check_lambda(lambda_k) * dp_k.delta2)
+    delta1, delta2 = _check_delta(dp_k.delta1), _check_delta(dp_k.delta2)
+    return 0.5 + 0.25 * (delta1 + _check_lambda(lambda_k) * delta2)
 
 
 def _check_steps(steps) -> None:

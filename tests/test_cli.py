@@ -692,6 +692,15 @@ class TestPolyCommand:
     def test_order_above_cap_is_usage(self):
         assert main(["poly", "--k", str(POLY_CAP + 1)]) == EXIT_USAGE
 
+    def test_coefficients_print_as_fractions(self, capsys):
+        # each P_k coefficient is Q_k's over 2^(k-1), in lowest terms as Fraction prints it
+        for k in range(1, 10):
+            assert main(["poly", "--k", str(k)]) == EXIT_OK
+            line = capsys.readouterr().out.splitlines()[0]
+            p = [Fraction(b, 2 ** (k - 1)) for b in seqrac.smallangle.odd_power_expansion(k)]
+            assert line == f"P_{k}(x) = " + " + ".join(
+                f"({c})*x^{n}" if n else f"{c}" for n, c in enumerate(p))
+
     def test_table_is_built_once(self, monkeypatch):
         # P_8 and c_8 both print from one T_8: seven squarings, not fourteen
         squarings, square = [], seqrac.smallangle._kronecker_square
@@ -861,7 +870,7 @@ class TestExitCodes:
 
 
 # Runs one command in a fresh interpreter, so that no other test has loaded
-# numpy or mpmath yet, and prints whether each of them is loaded after it.
+# numpy, mpmath or decimal yet, and prints whether each of them is loaded after it.
 IMPORT_PATH_SCRIPT = r"""
 import sys
 from pathlib import Path
@@ -875,8 +884,20 @@ out = sys.argv[1]
 (Path(out) / "sim.cfg").write_text("omega = 0.3\nlambdas = 0.5\nshots = 1000\nseed = 1\n")
 argv = [arg.replace("@out", out) for arg in sys.argv[2:]]
 assert seqrac.cli.main(argv) == 0, argv
-print("numpy" in sys.modules, "mpmath" in sys.modules)
+print("numpy" in sys.modules, "mpmath" in sys.modules, "decimal" in sys.modules)
 """
+
+
+def loaded_after(tmp_path, argv) -> list[bool]:
+    """Whether numpy, mpmath and decimal are loaded after ``argv`` runs in a fresh interpreter."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PATH_SCRIPT, str(tmp_path), *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return [word == "True" for word in proc.stdout.splitlines()[-1].split()]
 
 
 @pytest.mark.parametrize(
@@ -893,14 +914,13 @@ print("numpy" in sys.modules, "mpmath" in sys.modules)
     ids=lambda v: v[0] if isinstance(v, list) else None,
 )
 def test_import_path(tmp_path, argv, numpy, mpmath):
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_PATH_SCRIPT, str(tmp_path), *argv],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == f"{numpy} {mpmath}"
+    assert loaded_after(tmp_path, argv)[:2] == [numpy, mpmath]
+
+
+@pytest.mark.parametrize("k, loaded", [(8, False), (9, False), (10, True)])
+def test_import_path_of_decimal(tmp_path, k, loaded):
+    # only a squaring past smallangle.NTT_BYTES loads decimal: T_9 -> T_10 is the first
+    assert loaded_after(tmp_path, ["poly", "--k", str(k)]) == [False, False, loaded]
 
 
 class TestDeterminism:
@@ -1034,8 +1054,30 @@ class TestApiContract:
         # a Decimal is no numbers.Real
         pytest.param("thresholds", (seqrac.DistinguishabilityPair(decimal.Decimal("0.5"), 0.5),),
                      "bad distinguishability Decimal('0.5')", id="thresholds-decimal"),
+        # per_bob_success reads its pair by thresholds' rule: 2.0 gave a success of 1.0625
+        pytest.param("per_bob_success", (seqrac.DistinguishabilityPair(2.0, 0.5), 0.5),
+                     "distinguishability 2.0 outside [0, 1]", id="success-range"),
+        pytest.param("per_bob_success", (seqrac.DistinguishabilityPair("a", 0.5), 0.5),
+                     "bad distinguishability 'a'", id="success-delta-text"),
+        pytest.param("per_bob_success", (seqrac.DistinguishabilityPair(0.5, None), 0.5),
+                     "bad distinguishability None", id="success-delta-none"),
+        pytest.param("DensityOp.from_bloch", (("a", 0, 0),), "bad Bloch vector component 'a'",
+                     id="state-text"),
+        pytest.param("DensityOp.from_bloch", ((None, 0, 0),), "bad Bloch vector component None",
+                     id="state-none"),
+        # text that float() parses is refused too
+        pytest.param("DensityOp.from_bloch", (("0.5", 0, 0),), "bad Bloch vector component '0.5'",
+                     id="state-numeric-text"),
+        pytest.param("SharpObservable.from_axis", ((0, "a", 1),), "bad Bloch vector component 'a'",
+                     id="axis-text"),
+        pytest.param("DensityOp.from_bloch", ((0.5, 0.5),), "bad Bloch vector (0.5, 0.5)",
+                     id="state-two-components"),
+        pytest.param("SharpObservable.from_axis", (1.0,), "bad Bloch vector 1.0", id="axis-scalar"),
     ])
     def test_malformed_value_is_a_domain_error(self, name, args, message):
+        call = seqrac
+        for part in name.split("."):
+            call = getattr(call, part)
         with pytest.raises(seqrac.DomainError) as info:
-            getattr(seqrac, name)(*args)
+            call(*args)
         assert str(info.value) == message

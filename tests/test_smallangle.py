@@ -19,8 +19,12 @@ from seqrac import (
 )
 from seqrac.schedule import DEFAULT_DPS, _working_dps
 from seqrac.smallangle import (
+    NTT_BYTES,
     POLY_CAP,
+    _byte_slot,
     _kronecker_square,
+    _square_in_bytes,
+    _square_in_decimal,
     leading_coefficient_numeric,
 )
 
@@ -35,6 +39,21 @@ def mpf_loop_coefficient(k, c1):
     for j in range(2, k + 1):
         p = p + mp.mpf(2) ** (2 * j - 5) * x * p * p
     return 2 ** (k - 1) * c1 * p
+
+
+def mpf_loop_estimate(k, r, epsilon):
+    """omega_estimate's value in high-level mpf arithmetic: the reference for its
+    raw libmp loop, which must give the same bits."""
+    with mp.workdps(40):
+        c = mp.mpf(0.5) / r
+        x, dx = c * c, 2 * c
+        p, dp = mp.mpf(1), mp.mpf(0)
+        for j in range(2, k + 1):
+            s = mp.mpf(2) ** (2 * j - 5)
+            p, dp = p + s * x * p * p, dp + s * (dx * p * p + 2 * x * p * dp)
+        scale = mp.mpf(2) ** (k - 1)
+        ck, dck = scale * c * p, scale * (p + c * dp)
+        return 1 / (ck + epsilon * c * dck)
 
 
 def schoolbook_square(coeffs):
@@ -129,14 +148,44 @@ class TestRecurrence:
 
     def test_kronecker_square_matches_schoolbook(self):
         rng = random.Random(2024)
-        cases = [[0], [7], [0, 0, 0], [1, 0, 1], [2**200, 1, 0, 3]]
+        # coefficients at the slot bound: nine squares of the largest 50-digit number
+        # need all 2 * 50 + 1 digits of the decimal slot
+        cases = [[0], [7], [0, 0, 0], [1, 0, 1], [2**200, 1, 0, 3], [10**50 - 1] * 9,
+                 [2**200 - 1] * 15, [10**50 - 1] * 99]
         for _ in range(60):
             n = rng.randint(1, 40)
             cases.append([
                 rng.choice([0, rng.getrandbits(rng.randint(1, 300))]) for _ in range(n)
             ])
         for coeffs in cases:
-            assert _kronecker_square(coeffs) == schoolbook_square(coeffs)
+            want = schoolbook_square(coeffs)
+            assert _kronecker_square(coeffs) == want
+            assert _square_in_bytes(coeffs) == want
+            assert _square_in_decimal(coeffs) == want, coeffs
+
+    def test_multipliers_agree_on_the_tables(self):
+        # T_1..T_11; T_9 and up lie past NTT_BYTES, where _kronecker_square squares in decimal
+        t = [1]
+        for k in range(1, 12):
+            square = _square_in_bytes(t)
+            assert _square_in_decimal(t) == square, k
+            nxt = [0] + square
+            for i, c in enumerate(t):
+                nxt[i] += c << 2
+            t = nxt
+
+    def test_multipliers_agree_across_the_crossover(self):
+        rng = random.Random(20261020)
+        sizes = []
+        for _ in range(12):
+            n = rng.choice([64, 128, 256, 300])
+            bits = 8 * rng.randint(NTT_BYTES // 4, 4 * NTT_BYTES) // (2 * n)
+            coeffs = [rng.getrandbits(bits) for _ in range(n)]
+            sizes.append(n * _byte_slot(coeffs))
+            square = _square_in_bytes(coeffs)
+            assert _square_in_decimal(coeffs) == square
+            assert _kronecker_square(coeffs) == square
+        assert min(sizes) < NTT_BYTES <= max(sizes)
 
     def test_order_cap(self):
         with pytest.raises(DomainError):
@@ -277,6 +326,26 @@ class TestOmegaEstimate:
         for conv in (float, mp.mpf):
             assert repr(omega_estimate(k, conv(r), conv(eps))) == estimate
             assert repr(leading_coefficient(k, conv(r))) == c_k
+
+    def test_raw_loop_gives_the_bits_of_the_mpf_loop(self):
+        # k up to 16 reaches estimates far below the doubles, which come back as mpfs
+        # with all 136 bits; an mpf r or epsilon keeps its bits, also past 40 digits
+        rng = random.Random(20261020)
+        underflowed = 0
+        for _ in range(600):
+            k, r, eps = rng.randint(1, 16), rng.uniform(0.2, 1.0), 10 ** rng.uniform(-12, 0)
+            for r, eps in ((r, eps), (mp.mpf(r) / 3, mp.mpf(eps) / 7)):
+                want = mpf_loop_estimate(k, r, eps)
+                got = omega_estimate(k, r, eps)
+                if isinstance(got, mp.mpf):
+                    underflowed += 1
+                    assert got._mpf_ == want._mpf_, (k, r, eps)
+                else:
+                    assert got == float(want), (k, r, eps)
+        with mp.workdps(60):
+            r, eps = mp.mpf(1) / 3, mp.mpf(1) / 7000
+            assert omega_estimate(14, r, eps)._mpf_ == mpf_loop_estimate(14, r, eps)._mpf_
+        assert underflowed > 300
 
     def test_reading_keeps_every_bit_of_an_mpf(self):
         # r, epsilon and c1 are not rounded to doubles on the way in

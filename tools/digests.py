@@ -44,9 +44,12 @@ Then ``schedule --n 1`` at four angles whose ``omega_dec`` pins the decimal
 printer's edges: the exact tie 389347099 * 2^-31, which rounds up to
 ...938; 1.5e-10, in exponent form; and values that carry to 0.000000001
 and to 1.0, across the fixed/exponent boundary and to the next digit.
-Last, ``thresholds --grid 7 --delta2`` at 0, 0.6 and 1, which no other run
+Then ``thresholds --grid 7 --delta2`` at 0, 0.6 and 1, which no other run
 covers (``inf`` thresholds and both ``simplex_violated`` values), and
-``region --resolution 2``, the smallest grid.
+``region --resolution 2``, the smallest grid.  Last, ``poly --k 11`` and
+``--k 12 --out``: k = 10 is the first table with a squaring past
+``smallangle.NTT_BYTES``, and these two make two and three such squarings, up
+to ``POLY_CAP``.
 """
 
 import contextlib
@@ -149,6 +152,7 @@ def main() -> int:
     runs += [(("thresholds", "--grid", "7", "--delta2", d2, "--out", OUT), None)
              for d2 in ("0", "0.6", "1")]
     runs.append((("region", "--resolution", "2", "--out", OUT), None))
+    runs += [(("poly", "--k", k, "--out", OUT), None) for k in ("11", "12")]
     lines = []
     for i, (argv, config) in enumerate(runs):
         shutil.rmtree(work, ignore_errors=True)

@@ -21,16 +21,18 @@ the lam in (0, 1) decision at both edges, the sticky bits of ``_div`` and
 ``find_omega``'s stop test, and ``_dec``'s guard width, re-read step, tie
 window, constants, carry, sign and final rounding; in ``rac``'s disc-bound
 sampler, the maximum taken, the ball radius and the range of z; and in
-``smallangle``'s exact table, T_k's factor 4, the back-shift from T_k to Q_k
-and the Kronecker slot's room for the sum of products, and the 2^(k-1) over
-which ``poly`` prints P_k from that table.  A mutant marked
-equivalent carries the reason no test can kill it.
+``smallangle``'s exact table, T_k's factor 4, the back-shift from T_k to Q_k,
+the byte slot's room for the sum of products, the decimal slot one digit
+short and its slots packed or read in the wrong order, the 2^(k-1) over which
+``poly`` prints P_k from that table and its shift let past k - 1, and one
+product of ``omega_estimate``'s raw loop rounded in another order.  A mutant
+marked equivalent carries the reason no test can kill it.
 
 It prints one line per mutant (killed or survived, seconds, and the first
 failing test, or the reason a survivor is equivalent); tests that run past
 TIMEOUT_S kill their mutant.  It exits 1 if a mutant that is not marked
 equivalent survives, or if the list is stale.  It always runs the whole list,
-two mutants at a time.  Standard library only; about 4 minutes on 2 CPUs.
+two mutants at a time.  Standard library only; about 5 minutes on 2 CPUs.
 """
 
 from __future__ import annotations
@@ -175,15 +177,29 @@ SAMPLER = (
 )
 
 SMALLANGLE = ("tests/test_smallangle.py",)
+POLY = ("tests/test_cli.py::TestPolyCommand",)
+ESTIMATE = ("tests/test_smallangle.py::TestOmegaEstimate",)
 TABLE = (
     Mutant("table: T_k = 2*T_{k-1} + ...", "smallangle.py", "nxt[i] += c << 2", "<< 2", "<< 1",
            SMALLANGLE),
     Mutant("table: back-shift by k - 2", "smallangle.py", "return tuple((c << i) >> (k - 1)",
            "(k - 1)", "(k - 2)", SMALLANGLE),
-    Mutant("kronecker: slot without the n term", "smallangle.py", "width = -(-(2 * max(coeffs)",
-           " + n.bit_length()", "", SMALLANGLE),
-    Mutant("poly: P_k over 2^k", "cli.py", "p = [Fraction(b, len(expansion))", "len(expansion)",
-           "2 * len(expansion)", ("tests/test_cli.py::TestPolyCommand",)),
+    Mutant("kronecker: slot without the n term", "smallangle.py", "return -(-(2 * max(coeffs)",
+           " + len(coeffs).bit_length()", "", SMALLANGLE),
+    Mutant("decimal: slot one digit short", "smallangle.py", "width = 2 * max(map(len, digits))",
+           "len(str(n))", "len(str(n)) - 1", SMALLANGLE),
+    Mutant("decimal: slots packed lowest power first", "smallangle.py",
+           "packed = decimal.Decimal(", "reversed(digits)", "digits", SMALLANGLE),
+    Mutant("decimal: product read highest power first", "smallangle.py",
+           "return [int(square[i - width:i])", "range(len(square), 0, -width)",
+           "range(width, len(square) + 1, width)", SMALLANGLE),
+    Mutant("poly: P_k over 2^k", "cli.py", "terms, den = [], len(expansion)", "len(expansion)",
+           "2 * len(expansion)", POLY),
+    Mutant("poly: shift past k - 1", "cli.py", "low = (b | den) & -(b | den)",
+           "(b | den) & -(b | den)", "b & -b", POLY),
+    Mutant("estimate: dx*p*p as dx*(p*p)", "smallangle.py", "dxpp = mpf_mul(",
+           "mpf_mul(mpf_mul(dx, p, prec, rn), p, prec, rn)",
+           "mpf_mul(dx, mpf_mul(p, p, prec, rn), prec, rn)", ESTIMATE),
 )
 
 MUTANTS = FLIPS + SWAPS + OTHERS + DEC + SAMPLER + TABLE
