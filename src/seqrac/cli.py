@@ -58,11 +58,10 @@ _FLAG = ("false", "true")  # a bool cell's text, indexed by the bool
 @functools.cache
 def _log_constants(k: int) -> tuple[int, int, int]:
     # log2 10, log10 2 and ln 2, each an int within 2 of 2^k times it
-    import mpmath as mp
+    from mpmath.libmp import ln2_fixed, ln10_fixed
 
-    with mp.workprec(k + 16):
-        ln2, ln10 = +mp.ln2, +mp.ln10
-        return tuple(int(mp.floor(mp.ldexp(c, k))) for c in (ln10 / ln2, ln2 / ln10, ln2))
+    ln2, ln10 = ln2_fixed(k + 16), ln10_fixed(k + 16)
+    return (ln10 << k) // ln2, (ln2 << k) // ln10, ln2 >> 16
 
 
 def _dec(value) -> str:

@@ -52,17 +52,17 @@ def real(value):
     return value
 
 
-def check_omega(omega, half_pi):
-    """``omega`` if it lies in (0, ``half_pi``), pi/2 at the caller's precision; nan does not."""
+def check_omega(omega, half_pi, show=str):
+    """``omega`` if in (0, ``half_pi``), pi/2 at the caller's precision, not nan; ``show`` prints it."""
     if not 0 < omega < half_pi:
-        raise DomainError(f"omega {omega} outside (0, pi/2)")
+        raise DomainError(f"omega {show(omega)} outside (0, pi/2)")
     return omega
 
 
-def check_r(r):
-    """``r`` if it lies in (0, 1], which nan does not."""
+def check_r(r, show=str):
+    """``r`` if it lies in (0, 1], which nan does not; ``show`` prints it in the message."""
     if not 0 < r <= 1:
-        raise DomainError(f"r {r} outside (0, 1]")
+        raise DomainError(f"r {show(r)} outside (0, 1]")
     return r
 
 

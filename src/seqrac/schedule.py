@@ -13,7 +13,7 @@ give every receiver success strictly above 3/4.
 
 Everything here runs in arbitrary precision, and the recurrence only in
 interval arithmetic on int ``(mantissa, exponent)`` endpoints rounded outward to
-``mp.prec`` bits, bit-identical to libmp's and ``mp.iv``'s: every decision is proved.
+the working ``prec`` bits, bit-identical to libmp's and ``mp.iv``'s: every decision is proved.
 The numerator above suffers catastrophic cancellation for small ``w`` (the
 interesting regime: the feasible opening angle shrinks doubly exponentially
 with N, far below double range already for ~12 receivers), so the recursion
@@ -29,13 +29,15 @@ interval midpoints and M_k = 2^(k-1) delta1_k / cos w, but each success P_k is 3
 eps W_k / 4, rounded to nearest, not a midpoint.  Each step squares a doubly-exponential quantity,
 so the relative error doubles per receiver; the working precision is ``dps`` plus
 ``ceil(n log10 2)`` digits to cover that loss, plus guard digits.  One reader converts
-omega, r and epsilon at that precision, strings to every digit.  mpmath loads on first use.
+omega, r and epsilon at that precision, strings to every digit.  Each call passes its ``prec`` down
+and reads no precision from mpmath's process-wide context.  mpmath loads on first use.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from .errors import DomainError, SearchExhausted, check_count, check_omega, check_r, read
@@ -78,15 +80,22 @@ class Schedule:
     first_failure: Optional[int]
 
 
-def _read_r_epsilon(r, epsilon) -> tuple:
+def _read_inputs(dps: int, r, epsilon, *omega) -> tuple:
+    """(omega when given, r, epsilon) read as ``mp.mpf`` reads them at ``mp.dps = dps``, to nearest;
+    a message prints the value as ``str`` does there, to ``dps`` digits."""
     import mpmath as mp
+    from mpmath.libmp import dps_to_prec, mpf_pi, mpf_shift, to_str
 
-    r, epsilon = check_r(read("r", r, mp.mpf)), read("epsilon", epsilon, mp.mpf)
+    prec = dps_to_prec(dps)
+    convert, show = lambda v: mp.mpf(v, prec=prec, rounding="n"), lambda x: to_str(x._mpf_, dps)
+    half_pi = mp.make_mpf(mpf_shift(mpf_pi(prec, "n"), -1))
+    omega = [check_omega(read("omega", w, convert), half_pi, show) for w in omega]
+    r, epsilon = check_r(read("r", r, convert), show), read("epsilon", epsilon, convert)
     if not epsilon > 0:
         raise DomainError("epsilon must be > 0")
     if not epsilon < math.inf:
         raise DomainError(f"epsilon {epsilon} is not finite")
-    return r, epsilon
+    return (*omega, r, epsilon)
 
 
 def _working_dps(n: int, dps: int) -> int:
@@ -167,63 +176,64 @@ def lambda_sequence(omega, r, epsilon, n: int, dps: int = DEFAULT_DPS) -> Schedu
     after the proof, holds interval midpoints; a success is 3/4 + its margin instead.
     """
     import mpmath as mp
-    from mpmath.libmp import mpi_cos_sin
+    from mpmath.libmp import dps_to_prec, mpf_add, mpi_cos_sin
 
-    n, dps = check_count(n, "n"), check_count(dps, "dps")
-    with mp.workdps(_working_dps(n, dps)):
-        omega = check_omega(read("omega", omega, mp.mpf), mp.pi / 2)
-        r, epsilon = _read_r_epsilon(r, epsilon)
-        prec, w = mp.mp.prec, omega._mpf_
-        # From here each end is a (mantissa, exponent) int pair: *_lo rounds down, *_hi up
-        (c_lo, c_hi), (s_lo, s_hi) = ([x[1:3] for x in iv] for iv in mpi_cos_sin((w, w), prec))
-        one, rm, eps = (1, 0), r._mpf_[1:3], epsilon._mpf_[1:3]
-        # delta1 = cos w, W_1 = 1 - cos w = sin^2 w / (1 + cos w), both stable, and r sin w
-        d1, rs_lo, rs_hi = (c_lo, c_hi), _mul(rm, s_lo, prec, False), _mul(rm, s_hi, prec, True)
-        w_lo = _div(_mul(s_lo, s_lo, prec, False), _add(one, c_hi, prec, True), prec, False)
-        w_hi = _div(_mul(s_hi, s_hi, prec, True), _add(one, c_lo, prec, False), prec, True)
-        inf_lo, inf_hi = _add(one, eps, prec, False), _add(one, eps, prec, True)
-        ends, first_failure = [], None  # per receiver: (lo, hi) of lam, delta1, delta2 and W
-        for k in range(1, n + 1):
-            d2 = (rs_lo[0], rs_lo[1] + 1 - k), (rs_hi[0], rs_hi[1] + 1 - k)  # r sin(w) / 2^(k-1)
-            lam_lo = _div(_mul(inf_lo, w_lo, prec, False), d2[1], prec, False)
-            lam_hi = _div(_mul(inf_hi, w_hi, prec, True), d2[0], prec, True)
-            ends.append(((lam_lo, lam_hi), d1, d2, (w_lo, w_hi)))
-            # lam_k must lie certainly in (0, 1); an undecided comparison fails
-            if not (lam_lo[0] > 0 and lam_hi[0].bit_length() + lam_hi[1] <= 0):
-                first_failure = k
-                break
-            # v = lam^2 / (1 + sqrt(1 - lam^2)) = 1 - sqrt(1 - lam^2)
-            sq_lo, sq_hi = _mul(lam_lo, lam_lo, prec, False), _mul(lam_hi, lam_hi, prec, True)
-            den_lo = _add(one, _sqrt(_sub(one, sq_hi, prec, False), prec, False), prec, False)
-            den_hi = _add(one, _sqrt(_sub(one, sq_lo, prec, True), prec, True), prec, True)
-            v_lo, v_hi = _div(sq_lo, den_hi, prec, False), _div(sq_hi, den_lo, prec, True)
-            # t = delta1 v / 2, W_{k+1} = W_k + t, and delta1 - t, read as 1 - W while W < 1/2
-            t_lo = _mul(d1[0], (v_lo[0], v_lo[1] - 1), prec, False)
-            t_hi = _mul(d1[1], (v_hi[0], v_hi[1] - 1), prec, True)
-            w_lo, w_hi = _add(w_lo, t_lo, prec, False), _add(w_hi, t_hi, prec, True)
-            if w_hi[0].bit_length() + w_hi[1] < 0:
-                d1 = _sub(one, w_hi, prec, False), _sub(one, w_lo, prec, True)
-            else:
-                d1 = _sub(d1[0], t_hi, prec, False), _sub(d1[1], t_lo, prec, True)
-        # The report: midpoints, M_k = 2^(k-1) delta1 / cos w, the margin eps W_k / 4, success 3/4 + it
-        eps4, three_quarters = (eps[0], eps[1] - 2), mp.mpf(0.75)
-        lambdas, m_products, delta1s, delta2s, margins = zip(*(
-            [mp.make_mpf(_mid(lo, hi, prec)) for lo, hi in (lam, (
-                _div((d1[0][0], d1[0][1] + k - 1), c_hi, prec, False),
-                _div((d1[1][0], d1[1][1] + k - 1), c_lo, prec, True)), d1, d2, (
-                _mul(eps4, w[0], prec, False), _mul(eps4, w[1], prec, True)))]
-            for k, (lam, d1, d2, w) in enumerate(ends, 1)))
-        return Schedule(omega, r, epsilon, n, lambdas, m_products,
-                        tuple(map(DistinguishabilityPair, delta1s, delta2s)),
-                        tuple(three_quarters + g for g in margins), margins,
-                        first_failure is None, first_failure)
+    n = check_count(n, "n")
+    dps = _working_dps(n, check_count(dps, "dps"))
+    omega, r, epsilon = _read_inputs(dps, r, epsilon, omega)
+    prec, w = dps_to_prec(dps), omega._mpf_
+    # From here each end is a (mantissa, exponent) int pair: *_lo rounds down, *_hi up
+    (c_lo, c_hi), (s_lo, s_hi) = ([x[1:3] for x in iv] for iv in mpi_cos_sin((w, w), prec))
+    one, rm, eps = (1, 0), r._mpf_[1:3], epsilon._mpf_[1:3]
+    # delta1 = cos w, W_1 = 1 - cos w = sin^2 w / (1 + cos w), both stable, and r sin w
+    d1, rs_lo, rs_hi = (c_lo, c_hi), _mul(rm, s_lo, prec, False), _mul(rm, s_hi, prec, True)
+    w_lo = _div(_mul(s_lo, s_lo, prec, False), _add(one, c_hi, prec, True), prec, False)
+    w_hi = _div(_mul(s_hi, s_hi, prec, True), _add(one, c_lo, prec, False), prec, True)
+    inf_lo, inf_hi = _add(one, eps, prec, False), _add(one, eps, prec, True)
+    ends, first_failure = [], None  # per receiver: (lo, hi) of lam, delta1, delta2 and W
+    for k in range(1, n + 1):
+        d2 = (rs_lo[0], rs_lo[1] + 1 - k), (rs_hi[0], rs_hi[1] + 1 - k)  # r sin(w) / 2^(k-1)
+        lam_lo = _div(_mul(inf_lo, w_lo, prec, False), d2[1], prec, False)
+        lam_hi = _div(_mul(inf_hi, w_hi, prec, True), d2[0], prec, True)
+        ends.append(((lam_lo, lam_hi), d1, d2, (w_lo, w_hi)))
+        # lam_k must lie certainly in (0, 1); an undecided comparison fails
+        if not (lam_lo[0] > 0 and lam_hi[0].bit_length() + lam_hi[1] <= 0):
+            first_failure = k
+            break
+        # v = lam^2 / (1 + sqrt(1 - lam^2)) = 1 - sqrt(1 - lam^2)
+        sq_lo, sq_hi = _mul(lam_lo, lam_lo, prec, False), _mul(lam_hi, lam_hi, prec, True)
+        den_lo = _add(one, _sqrt(_sub(one, sq_hi, prec, False), prec, False), prec, False)
+        den_hi = _add(one, _sqrt(_sub(one, sq_lo, prec, True), prec, True), prec, True)
+        v_lo, v_hi = _div(sq_lo, den_hi, prec, False), _div(sq_hi, den_lo, prec, True)
+        # t = delta1 v / 2, W_{k+1} = W_k + t, and delta1 - t, read as 1 - W while W < 1/2
+        t_lo = _mul(d1[0], (v_lo[0], v_lo[1] - 1), prec, False)
+        t_hi = _mul(d1[1], (v_hi[0], v_hi[1] - 1), prec, True)
+        w_lo, w_hi = _add(w_lo, t_lo, prec, False), _add(w_hi, t_hi, prec, True)
+        if w_hi[0].bit_length() + w_hi[1] < 0:
+            d1 = _sub(one, w_hi, prec, False), _sub(one, w_lo, prec, True)
+        else:
+            d1 = _sub(d1[0], t_hi, prec, False), _sub(d1[1], t_lo, prec, True)
+    # The report: midpoints, M_k = 2^(k-1) delta1 / cos w, the margin eps W_k / 4, success 3/4 + it
+    eps4, three_quarters = (eps[0], eps[1] - 2), (0, 3, -2, 2)  # the latter a raw mpf
+    lambdas, m_products, delta1s, delta2s, margins = zip(*(
+        [mp.make_mpf(_mid(lo, hi, prec)) for lo, hi in (lam, (
+            _div((d1[0][0], d1[0][1] + k - 1), c_hi, prec, False),
+            _div((d1[1][0], d1[1][1] + k - 1), c_lo, prec, True)), d1, d2, (
+            _mul(eps4, w[0], prec, False), _mul(eps4, w[1], prec, True)))]
+        for k, (lam, d1, d2, w) in enumerate(ends, 1)))
+    return Schedule(omega, r, epsilon, n, lambdas, m_products,
+                    tuple(map(DistinguishabilityPair, delta1s, delta2s)),
+                    tuple(mp.make_mpf(mpf_add(three_quarters, g._mpf_, prec, "n")) for g in margins),
+                    margins, first_failure is None, first_failure)
 
 
 def feasibility_report(s: Schedule) -> tuple[bool, bool, Optional[int]]:
     """(all lam in (0,1), doubling monotonicity, index of first failure)."""
+    import mpmath as mp
+
     feasible = s.feasible
     monotone_doubling = all(
-        b > 2 * a for a, b in zip(s.lambdas, s.lambdas[1:])
+        b > mp.ldexp(a, 1) for a, b in zip(s.lambdas, s.lambdas[1:])
     )
     return feasible, monotone_doubling, s.first_failure
 
@@ -244,41 +254,48 @@ def find_omega(n: int, r, epsilon) -> Schedule:
     ``omega``.
     """
     import mpmath as mp
+    from mpmath.libmp import (dps_to_prec, fone, from_int, fzero, mpf_add, mpf_atan, mpf_div, mpf_le,
+                              mpf_mul, mpf_neg, mpf_pi, mpf_pow_int, mpf_shift, mpf_sign, mpf_sub)
 
     n = check_count(n, "n")
-    with mp.workdps(_working_dps(n, DEFAULT_DPS)):
-        r, epsilon = _read_r_epsilon(r, epsilon)
-        target = 1 - mp.mpf(10) ** -TARGET_DIGITS
-        stop = mp.mpf(10) ** (8 - TARGET_DIGITS)
-        if n == 1:
-            x = 2 * mp.atan(target * r / (1 + epsilon))
-        else:
-            x = target / leading_coefficient_numeric(n, (1 + epsilon) / (2 * r))
+    dps = _working_dps(n, DEFAULT_DPS)
+    prec = dps_to_prec(dps)
+    add, sub, mul, div = (partial(f, prec=prec, rnd="n") for f in (mpf_add, mpf_sub, mpf_mul, mpf_div))
+    r, epsilon = _read_inputs(dps, r, epsilon)
+    # raw libmp at prec, rounded to nearest, in the operation order of mpf arithmetic on
+    # target = 1 - 10^-TARGET_DIGITS, 2 atan(target r / (1 + eps)) or target / c_n((1 + eps) / (2 r))
+    target = sub(fone, mpf_pow_int(from_int(10), -TARGET_DIGITS, prec, "n"))
+    stop = mpf_pow_int(from_int(10), 8 - TARGET_DIGITS, prec, "n")
+    if n == 1:
+        x = mpf_shift(mpf_atan(div(mul(target, r._mpf_), add(epsilon._mpf_, fone)), prec, "n"), 1)
+    else:
+        c1 = mp.make_mpf(div(add(epsilon._mpf_, fone), mpf_shift(r._mpf_, 1)))
+        x = div(target, leading_coefficient_numeric(n, c1, prec)._mpf_)
 
-        # Bracket ends as (omega, lam_n - target); lam_n(0) = 0, and the
-        # upper end's value is None while it failed before receiver n (or
-        # is the domain end pi/2, never evaluated).
-        lo, hi = (mp.mpf(0), -target), (mp.pi / 2, None)
-        side = 0
-        for _ in range(MAX_EVALS):
-            s = lambda_sequence(x, r, epsilon, n)
-            full = len(s.lambdas) == n
-            close = full and 0 < 1 - s.lambdas[-1] <= stop
-            if close and s.feasible:
-                return s
-            # A close point that is undecided counts as an upper end that
-            # failed early, so the search moves below it.
-            f = s.lambdas[-1] - target if full and not close else None
-            if s.feasible:
-                if side < 0 and hi[1] is not None:
-                    hi = (hi[0], hi[1] / 2)
-                lo, side = (x, f), -1
-            else:
-                if side > 0:
-                    lo = (lo[0], lo[1] / 2)
-                hi, side = (x, f), 1
-            if hi[1] is None:
-                x = (lo[0] + hi[0]) / 2
-            else:
-                x = (lo[0] * hi[1] - hi[0] * lo[1]) / (hi[1] - lo[1])
+    # Bracket ends as (omega, lam_n - target); lam_n(0) = 0, and the
+    # upper end's value is None while it failed before receiver n (or
+    # is the domain end pi/2, never evaluated).
+    lo, hi, side = (fzero, mpf_neg(target)), (mpf_shift(mpf_pi(prec, "n"), -1), None), 0
+    for _ in range(MAX_EVALS):
+        s = lambda_sequence(mp.make_mpf(x), r, epsilon, n)
+        full = len(s.lambdas) == n
+        gap = sub(fone, s.lambdas[-1]._mpf_)
+        close = full and mpf_sign(gap) > 0 and mpf_le(gap, stop)
+        if close and s.feasible:
+            return s
+        # A close point that is undecided counts as an upper end that
+        # failed early, so the search moves below it.
+        f = sub(s.lambdas[-1]._mpf_, target) if full and not close else None
+        if s.feasible:
+            if side < 0 and hi[1] is not None:
+                hi = (hi[0], mpf_shift(hi[1], -1))
+            lo, side = (x, f), -1
+        else:
+            if side > 0:
+                lo = (lo[0], mpf_shift(lo[1], -1))
+            hi, side = (x, f), 1
+        if hi[1] is None:
+            x = mpf_shift(add(lo[0], hi[0]), -1)
+        else:
+            x = div(sub(mul(lo[0], hi[1]), mul(hi[0], lo[1])), sub(hi[1], lo[1]))
     raise SearchExhausted(f"no certified omega for n={n} after {MAX_EVALS} evaluations")

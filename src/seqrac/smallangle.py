@@ -164,28 +164,27 @@ def leading_coefficient(k: int, c1: float):
     Returns a float when it is a normal double, otherwise an mpmath value
     (the coefficients grow doubly exponentially in k).
     """
-    import mpmath as mp
+    from mpmath.libmp import dps_to_prec
 
-    with mp.workdps(40):
-        return _float_if_normal(leading_coefficient_numeric(k, c1))
+    return _float_if_normal(leading_coefficient_numeric(k, c1, dps_to_prec(40)))
 
 
-def leading_coefficient_numeric(k: int, c1) -> mp.mpf:
-    """Numeric ``c_k`` via the value recurrence; no order cap.
+def leading_coefficient_numeric(k: int, c1, prec=None) -> mp.mpf:
+    """Numeric ``c_k`` via the value recurrence at ``prec`` bits; no order cap.
 
-    Used to bracket feasible opening angles for large receiver counts,
-    where the exact polynomial would be astronomically large.
+    ``c1`` is read at ``prec`` too, rounded to nearest; ``prec`` None is the
+    caller's ``mp.prec``.  Used to bracket feasible opening angles for large
+    receiver counts, where the exact polynomial would be astronomically large.
     """
     import mpmath as mp
-    from mpmath.libmp import fone, mpf_add, mpf_mul, mpf_shift, round_nearest
+    from mpmath.libmp import fone, mpf_add, mpf_mul, mpf_shift, round_nearest as rn
 
-    k = check_count(k, "order")
-    c1 = read("c1", c1, lambda v: mp.mpf(real(v)))
+    k, prec = check_count(k, "order"), mp.mp.prec if prec is None else check_count(prec, "prec")
+    c1 = read("c1", c1, lambda v: mp.mpf(real(v), prec=prec, rounding="n"))
     if not 0 < c1 < mp.inf:  # nan and +inf fail too, instead of returning themselves
         raise DomainError(f"c1 must be positive and finite, not {c1}")
-    # raw libmp calls at mp.prec, rounded to nearest, in the operation order of
+    # raw libmp calls at prec, rounded to nearest, in the operation order of
     # p = p + 2^(2j-5) * x * p * p, with the powers of two exact shifts
-    prec, rn = mp.mp.prec, round_nearest
     x = mpf_mul(c1._mpf_, c1._mpf_, prec, rn)
     p = fone  # P_1
     for j in range(2, k + 1):

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -147,6 +148,16 @@ class TestPinnedBytes:
     def test_csv_digest(self, tmp_path, argv, name, digest):
         assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+    def test_byte_listing(self, tmp_path):
+        # tools/digests.py against tools/digests.txt: a changed byte fails with its -/+ lines
+        root = Path(__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, str(root / "tools" / "digests.py"), str(root),
+                               str(tmp_path)], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        skipped = re.search(r"^\d+ simulate runs not compared: .*$", proc.stdout, re.M)
+        if skipped:
+            pytest.skip(skipped.group(0))
 
     @pytest.mark.parametrize(
         "omega, json_digest, csv_digest, n_opts, code",
@@ -439,6 +450,15 @@ class TestDecimalStrings:
         calls, exp = [], mp.libmp.mpf_exp
         monkeypatch.setattr(mp.libmp, "mpf_exp", lambda *a: calls.append(a) or exp(*a))
         return calls
+
+    def test_log_constants_within_two_units(self):
+        # _dec's error bound takes each constant within 2 of 2^k times it
+        for k in [*range(64, 8193, 64), 65536]:
+            with mp.workprec(2 * k + 64):
+                ln2, ln10 = +mp.ln2, +mp.ln10
+                exact = [mp.ldexp(c, k) for c in (ln10 / ln2, ln2 / ln10, ln2)]
+                got = seqrac.cli._log_constants(k)
+                assert all(abs(g - x) < 2 for g, x in zip(got, exact)), k
 
     def test_every_schedule_field_is_correctly_rounded(self):
         rng = random.Random(20261019)
@@ -817,6 +837,23 @@ class TestExitCodes:
         argv = ["schedule", "--n", "3", "--r", "-1", "--omega", "auto", "--out", str(tmp_path)]
         assert main(argv) == EXIT_USAGE
         assert "error: r -1.0 outside (0, 1]" in capsys.readouterr().err
+
+    def test_r_past_one_prints_its_working_digits(self, tmp_path, capsys):
+        # the double just above 1, to the 61 working digits of n = 3: every digit it has
+        argv = ["schedule", "--n", "3", "--r", "1.0000000000000002", "--out", str(tmp_path)]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: r 1.0000000000000002220446049250313080847263336181640625 outside (0, 1]\n")
+
+    def test_omega_past_half_pi_prints_its_working_digits(self, tmp_path, capsys):
+        # pi/2 + 10^-200 given to 250 digits, read and printed at the 61 working digits
+        with mp.workdps(260):
+            omega = mp.nstr(mp.pi / 2 + mp.mpf(10) ** -200, 250)
+        argv = ["schedule", "--n", "3", "--omega", omega, "--out", str(tmp_path)]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: omega 1.570796326794896619231321691639751442098584699687552910487472"
+            " outside (0, pi/2)\n")
 
     @pytest.mark.parametrize("omega", ["0.1", "auto"])
     def test_non_finite_epsilon_is_usage(self, tmp_path, capsys, omega):

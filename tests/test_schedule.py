@@ -4,6 +4,8 @@ import dataclasses
 import math
 import random
 import re
+import sys
+import threading
 
 import mpmath as mp
 import pytest
@@ -28,7 +30,9 @@ from seqrac import (
     propagate,
     square_preparations,
 )
+from seqrac.cli import _json, _schedule_payload
 from seqrac.schedule import DEFAULT_DPS, GUARD_DIGITS, _add, _div, _mid, _mul, _sqrt, _sub, _working_dps
+from seqrac.smallangle import leading_coefficient, leading_coefficient_numeric
 
 X = SharpObservable.from_axis((1.0, 0.0, 0.0))
 Z = SharpObservable.from_axis((0.0, 0.0, 1.0))
@@ -227,7 +231,7 @@ class TestFindOmega:
         want = find_omega(2, 0.7, 1e-3).omega
         c_n = seqrac.schedule.leading_coefficient_numeric
         monkeypatch.setattr(seqrac.schedule, "leading_coefficient_numeric",
-                            lambda k, c1: c_n(k, c1) / 2.5)
+                            lambda k, c1, prec: c_n(k, c1, prec) / 2.5)
         s = find_omega(2, 0.7, 1e-3)
         assert s.feasible and 1 - s.lambdas[-1] <= mp.mpf("1e-17")
         assert abs(s.omega - want) <= mp.mpf("1e-16") * want
@@ -546,13 +550,88 @@ def print_feasible_at_double_dps(w, r, eps, n):
     return lambda_sequence(mp.nstr(w, 30), r, eps, n, dps=2 * DEFAULT_DPS).feasible
 
 
+def reference_search(n, r, epsilon):
+    """find_omega's search in mpf arithmetic under ``mp.workdps``: the reference
+    for its raw libmp steps, which must give the same bits."""
+    with mp.workdps(_working_dps(n, DEFAULT_DPS)):
+        r, epsilon = mp.mpf(r), mp.mpf(epsilon)
+        target = 1 - mp.mpf(10) ** -seqrac.schedule.TARGET_DIGITS
+        stop = mp.mpf(10) ** (8 - seqrac.schedule.TARGET_DIGITS)
+        if n == 1:
+            x = 2 * mp.atan(target * r / (1 + epsilon))
+        else:
+            x = target / leading_coefficient_numeric(n, (1 + epsilon) / (2 * r))
+        lo, hi, side = (mp.mpf(0), -target), (mp.pi / 2, None), 0
+        while True:
+            s = lambda_sequence(x, r, epsilon, n)
+            full = len(s.lambdas) == n
+            close = full and 0 < 1 - s.lambdas[-1] <= stop
+            if close and s.feasible:
+                return s.omega
+            f = s.lambdas[-1] - target if full and not close else None
+            if s.feasible:
+                if side < 0 and hi[1] is not None:
+                    hi = (hi[0], hi[1] / 2)
+                lo, side = (x, f), -1
+            else:
+                if side > 0:
+                    lo = (lo[0], lo[1] / 2)
+                hi, side = (x, f), 1
+            x = ((lo[0] + hi[0]) / 2 if hi[1] is None
+                 else (lo[0] * hi[1] - hi[0] * lo[1]) / (hi[1] - lo[1]))
+
+
 class TestScheduleStructure:
     def test_doubling_monotonicity(self):
         s = find_omega(6, 1.0, 1e-4)
         _, doubling, _ = feasibility_report(s)
         assert doubling
 
+    def test_doubling_is_compared_exactly(self):
+        # 2 lam_1 and lam_2 differ at 2^-200, far below the caller's mp.prec, which
+        # 2 lam_1 was rounded to; lam_2 = 2 lam_1 is no doubling
+        s = lambda_sequence(0.03125, 1.0, 1e-4, 2)
+        for two_a, b, doubling in ((2**200 - 2, 2**200 - 1, True), (2**200 + 2, 2**200 + 1, False),
+                                   (2**200, 2**200, False)):
+            lams = mp.make_mpf(from_man_exp(two_a, -201)), mp.make_mpf(from_man_exp(b, -200))
+            assert feasibility_report(dataclasses.replace(s, lambdas=lams))[1] is doubling
+
+    def test_search_gives_the_bits_of_the_mpf_search(self):
+        # n <= 7 take several evaluations, so the bisection and Illinois steps count too
+        for n, r, eps in seeded_grid(9, seed=20261020, repeats=3):
+            assert find_omega(n, r, eps).omega._mpf_ == reference_search(n, r, eps)._mpf_, (n, r, eps)
+
     def test_delta2_halves_each_step(self):
         s = lambda_sequence(0.03125, 1.0, 1e-4, 4)
         for a, b in zip(s.deltas, s.deltas[1:]):
             assert float(b.delta2) == pytest.approx(float(a.delta2) / 2.0, rel=1e-12)
+
+
+class TestPrecisionIsAnArgument:
+    """No result depends on mpmath's process-wide context, which any thread may set."""
+
+    CALLS = ((lambda: _json(_schedule_payload(lambda_sequence("0.001", 0.9, 1e-3, 8))), 20),
+             (lambda: _json(_schedule_payload(find_omega(6, 0.7, 1e-3))), 10),
+             (lambda: leading_coefficient(30, 0.6)._mpf_, 20))
+
+    def test_a_thread_entering_workdps_changes_no_result(self):
+        want = [call() for call, _ in self.CALLS]
+        done, interval, prec = threading.Event(), sys.getswitchinterval(), mp.mp.prec
+
+        def meddle():
+            while not done.is_set():
+                with mp.workdps(8):
+                    pass
+
+        meddler = threading.Thread(target=meddle)
+        sys.setswitchinterval(1e-6)
+        meddler.start()
+        try:
+            got = [[call() for _ in range(count)] for call, count in self.CALLS]
+        finally:
+            done.set()
+            meddler.join(timeout=10)
+            sys.setswitchinterval(interval)
+            mp.mp.prec = prec  # two threads' workdps blocks may restore each other's precision
+        assert not meddler.is_alive()
+        assert [sum(g != w for g in results) for w, results in zip(want, got)] == [0, 0, 0]

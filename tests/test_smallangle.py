@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from mpmath.libmp import dps_to_prec
 
 from seqrac import (
     DomainError,
@@ -237,6 +238,16 @@ class TestOddPowerExpansion:
                 got = leading_coefficient_numeric(n, c1)
                 assert got._mpf_ == mpf_loop_coefficient(n, c1)._mpf_, (n, r, eps)
 
+    def test_precision_is_an_argument(self):
+        # leading_coefficient works at 40 digits, and prec sets the bits, not mp.prec
+        rng = random.Random(20261020)
+        for _ in range(100):
+            k, c1 = rng.randint(16, 40), rng.uniform(0.5, 1.5)
+            with mp.workdps(40):
+                want = mpf_loop_coefficient(k, mp.mpf(c1))
+            assert leading_coefficient(k, c1)._mpf_ == want._mpf_, (k, c1)
+            assert leading_coefficient_numeric(k, c1, dps_to_prec(40))._mpf_ == want._mpf_, (k, c1)
+
     def test_numeric_recurrence_has_no_cap(self):
         # doubly exponential growth: far beyond double range, still finite
         big = leading_coefficient_numeric(16, mp.mpf("0.50005"))
@@ -257,6 +268,9 @@ class TestOddPowerExpansion:
         for c1 in (-0.5, 0.0):
             with pytest.raises(DomainError, match="c1 must be positive"):
                 leading_coefficient_numeric(3, c1)
+        for prec in (-5, 0, 2.5, "64", True):  # -5 ran without end
+            with pytest.raises(DomainError, match=f"^prec {re.escape(repr(prec))} is not an integer"):
+                leading_coefficient_numeric(3, 0.5, prec)
 
 
 class TestOmegaEstimate:

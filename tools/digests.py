@@ -3,11 +3,12 @@ against the committed listing ``tools/digests.txt``.
 
 Usage, from anywhere:
 
-    python tools/digests.py CHECKOUT WORKDIR            # compare with digests.txt
-    python tools/digests.py CHECKOUT WORKDIR --write    # rewrite digests.txt
+    python tools/digests.py [CHECKOUT [WORKDIR]]            # compare with digests.txt
+    python tools/digests.py [CHECKOUT [WORKDIR]] --write    # rewrite digests.txt
 
-CHECKOUT is the root of a seqrac source tree; its ``src`` and ``bench`` are
-put first on ``sys.path``.  WORKDIR is emptied and reused for every run.
+CHECKOUT is the root of a seqrac source tree, by default the one this tool
+lies in; its ``src`` and ``bench`` are put first on ``sys.path``.  WORKDIR, by
+default a temporary directory, is emptied and reused for every run.
 Each run makes one line with its exit code and the digests of its stdout
 and stderr, then one line per file it wrote: the sha256 of every data file,
 and of every manifest without its ``timestamp`` and its ``config`` path.
@@ -18,8 +19,9 @@ lines differ from the committed listing, expected lines as ``-`` and this
 run's as ``+``, and exits 1 if any does; ``--write`` replaces the listing
 instead.  The listing is headed by the Python, numpy and mpmath versions
 that made it, and a difference in them is printed too: ``simulate`` bytes
-hold on one numpy build only.  A change that declares new bytes rewrites
-the listing in the same commit.  The runs are every op of
+hold on one numpy build only, so under another numpy version the ``simulate``
+runs are not compared, and a last line says so and names both versions.  A
+change that declares new bytes rewrites the listing in the same commit.  The runs are every op of
 ``schedule_auto`` seeds 1 and 2, of ``scalar_mix`` seed 1 and of ``mc_chain``
 seed 1 (66 ``simulate --threads 2`` runs; from ``bench/workloads.py``),
 ``poly --k 1..10 --out``, ``schedule`` at a numeric omega in {0.03125,
@@ -59,6 +61,7 @@ import json
 import platform
 import shutil
 import sys
+import tempfile
 from collections import defaultdict
 from pathlib import Path
 
@@ -87,8 +90,19 @@ def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def main() -> int:
-    root, work = Path(sys.argv[1]).resolve(), Path(sys.argv[2]).resolve()
+def main(argv: list) -> int:
+    write = argv[-1:] == ["--write"]
+    paths = argv[:-1] if write else argv
+    if len(paths) > 2:
+        print("usage: python tools/digests.py [CHECKOUT [WORKDIR]] [--write]")
+        return 2
+    with tempfile.TemporaryDirectory(prefix="seqrac-digests-") as tmp:
+        root = Path(paths[0] if paths else LISTING.parents[1]).resolve()
+        work = Path(paths[1] if len(paths) > 1 else tmp).resolve()
+        return compare(root, work, write)
+
+
+def compare(root: Path, work: Path, write: bool) -> int:
     sys.path[:0] = [str(root / "src"), str(root / "bench")]
     from seqrac.cli import main as seqrac_main
     from workloads import CONFIG, OUT, generate
@@ -178,7 +192,7 @@ def main() -> int:
 
     header = [f"# python {platform.python_version()}", f"# numpy {numpy.__version__}",
               f"# mpmath {mpmath.__version__}"]
-    if sys.argv[3:] == ["--write"]:
+    if write:
         LISTING.write_text("\n".join(header + lines) + "\n")
         print(f"wrote {len(lines)} lines for {len(runs)} runs to {LISTING}")
         return 0
@@ -189,13 +203,18 @@ def main() -> int:
     for table, rows in ((want, committed[len(header):]), (got, lines)):
         for line in rows:
             table[line.split(" ", 1)[0]].append(line)
-    differ = [i for i in sorted(set(want) | set(got), key=int) if want[i] != got[i]]
+    skip = {str(i) for i, (argv, _) in enumerate(runs)
+            if argv[0] == "simulate" and committed[1] != header[1]}
+    differ = [i for i in sorted(set(want) | set(got), key=int) if want[i] != got[i] and i not in skip]
     for i in differ:
         print(f"run {i} differs:", *(f"- {x}" for x in want[i]), *(f"+ {x}" for x in got[i]),
               sep="\n  ")
     print(f"{len(runs)} runs, {len(differ)} differ from {LISTING.name}")
+    if skip:
+        print(f"{len(skip)} simulate runs not compared: {header[1][2:]} here, "
+              f"{committed[1][2:]} in {LISTING.name}")
     return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

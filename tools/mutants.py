@@ -18,14 +18,16 @@ and ``_round`` flipped, each endpoint of a pair taken from the other end,
 delta1 held to one of its two forms and their W < 1/2 switch moved to W < 1,
 the lam in (0, 1) decision at both edges, the sticky bits of ``_div`` and
 ``_sqrt``, ``_mid``'s zero stripping, ``_add``'s sticky cutoff, ``_working_dps``'s n term,
-``find_omega``'s stop test, and ``_dec``'s guard width, re-read step, tie
-window, constants, carry, sign and final rounding; in ``rac``'s disc-bound
+``find_omega``'s stop test and its rounding, ``feasibility_report``'s doubling,
+and ``_dec``'s guard width, re-read step, tie window, constants (their
+precision and the shift of ln 2), carry, sign and final rounding; in ``rac``'s disc-bound
 sampler, the maximum taken, the ball radius and the range of z; and in
 ``smallangle``'s exact table, T_k's factor 4, the back-shift from T_k to Q_k,
 the byte slot's room for the sum of products, the decimal slot one digit
 short and its slots packed or read in the wrong order, the 2^(k-1) over which
 ``poly`` prints P_k from that table and its shift let past k - 1, and one
-product of ``omega_estimate``'s raw loop rounded in another order.  A mutant
+product of ``omega_estimate``'s raw loop rounded in another order, and
+``leading_coefficient`` at 30 digits instead of 40.  A mutant
 marked equivalent carries the reason no test can kill it.
 
 It prints one line per mutant (killed or survived, seconds, and the first
@@ -144,10 +146,13 @@ OTHERS = (
     _kernel("add: sticky cutoff prec", "if gap > prec + 4:", "prec + 4", "prec"),
     _kernel("working dps: no n term", "return dps + math.ceil(n * math.log10(2))",
             "math.ceil(n * math.log10(2))", "0"),
-    Mutant("search: stop 100x looser", "schedule.py", "close = full and", "<= stop", "<= 100 * stop",
-           SEARCH),
-    Mutant("search: stop 100x tighter", "schedule.py", "close = full and", "<= stop", "<= stop / 100",
-           SEARCH),
+    Mutant("search: stop 100x looser", "schedule.py", "close = full and", "mpf_le(gap, stop)",
+           "mpf_le(gap, mul(stop, from_int(100)))", SEARCH),
+    Mutant("search: stop 100x tighter", "schedule.py", "close = full and", "mpf_le(gap, stop)",
+           "mpf_le(gap, div(stop, from_int(100)))", SEARCH),
+    Mutant("search: rounded down, not to nearest", "schedule.py",
+           "partial(f, prec=prec, rnd=", 'rnd="n"', 'rnd="f"', SEARCH),
+    _kernel("report: doubling dropped", "b > mp.ldexp(a, 1)", "mp.ldexp(a, 1)", "a"),
 )
 
 
@@ -165,6 +170,7 @@ DEC = (
     _printer("dec: carry dropped", "point = b + extra - 1 + len(digits)", "len(digits)", "DEC_DIGITS"),
     _printer("dec: sign dropped", "return f\"{'-' * sign}", "'-' * sign", "'' * sign"),
     _printer("dec: undecided rounds down", "head += 2 * tail >=", ">= 10**guard - 4", "> 10**guard + 4"),
+    _printer("dec: ln 2 constant doubled", "ln2 >> 16", ">> 16", ">> 15"),
 )
 
 DISTRIBUTION = ("tests/test_rac.py::TestSamplerDistribution",)
@@ -200,6 +206,8 @@ TABLE = (
     Mutant("estimate: dx*p*p as dx*(p*p)", "smallangle.py", "dxpp = mpf_mul(",
            "mpf_mul(mpf_mul(dx, p, prec, rn), p, prec, rn)",
            "mpf_mul(dx, mpf_mul(p, p, prec, rn), prec, rn)", ESTIMATE),
+    Mutant("leading coefficient at 30 digits", "smallangle.py",
+           "leading_coefficient_numeric(k, c1, dps_to_prec(40))", "40", "30", SMALLANGLE),
 )
 
 MUTANTS = FLIPS + SWAPS + OTHERS + DEC + SAMPLER + TABLE
