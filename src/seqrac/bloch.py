@@ -39,7 +39,9 @@ class HermitianOp:
     bloch: tuple[float, float, float]
 
     def __post_init__(self):
-        object.__setattr__(self, "trace_part", float(self.trace_part))
+        if type(self.trace_part) is not float:  # read as _as_vec reads a component
+            object.__setattr__(self, "trace_part", read("trace part", self.trace_part,
+                                                        lambda v: float(real(v))))
         object.__setattr__(self, "bloch", _as_vec(self.bloch))
 
     @property

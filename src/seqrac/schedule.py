@@ -11,9 +11,10 @@ receivers.  A schedule is feasible when every lam lies strictly in (0, 1);
 feasible schedules are strictly increasing with ``lam_{k+1} > 2 lam_k`` and
 give every receiver success strictly above 3/4.
 
-Everything here runs in arbitrary precision, and the recurrence only in
-interval arithmetic on int ``(mantissa, exponent)`` endpoints rounded outward to
-the working ``prec`` bits, bit-identical to libmp's and ``mp.iv``'s: every decision is proved.
+Everything here runs in arbitrary precision, and the recurrence only in interval arithmetic:
+add, sub, mul and div (ends paired as for nonnegative intervals, all that the pass multiplies or
+divides) and sqrt, each written once on int ``(mantissa, exponent)`` ends and rounding each end outward
+once to the working ``prec`` bits, bit-identical to libmp's and ``mp.iv``'s: every decision is proved.
 The numerator above suffers catastrophic cancellation for small ``w`` (the
 interesting regime: the feasible opening angle shrinks doubly exponentially
 with N, far below double range already for ~12 receivers), so the recursion
@@ -181,45 +182,41 @@ def lambda_sequence(omega, r, epsilon, n: int, dps: int = DEFAULT_DPS) -> Schedu
     n = check_count(n, "n")
     dps = _working_dps(n, check_count(dps, "dps"))
     omega, r, epsilon = _read_inputs(dps, r, epsilon, omega)
-    prec, w = dps_to_prec(dps), omega._mpf_
-    # From here each end is a (mantissa, exponent) int pair: *_lo rounds down, *_hi up
-    (c_lo, c_hi), (s_lo, s_hi) = ([x[1:3] for x in iv] for iv in mpi_cos_sin((w, w), prec))
-    one, rm, eps = (1, 0), r._mpf_[1:3], epsilon._mpf_[1:3]
-    # delta1 = cos w, W_1 = 1 - cos w = sin^2 w / (1 + cos w), both stable, and r sin w
-    d1, rs_lo, rs_hi = (c_lo, c_hi), _mul(rm, s_lo, prec, False), _mul(rm, s_hi, prec, True)
-    w_lo = _div(_mul(s_lo, s_lo, prec, False), _add(one, c_hi, prec, True), prec, False)
-    w_hi = _div(_mul(s_hi, s_hi, prec, True), _add(one, c_lo, prec, False), prec, True)
-    inf_lo, inf_hi = _add(one, eps, prec, False), _add(one, eps, prec, True)
-    ends, first_failure = [], None  # per receiver: (lo, hi) of lam, delta1, delta2 and W
+    prec = dps_to_prec(dps)
+    # An interval is a (lo, hi) pair of (mantissa, exponent) int ends, each rounded outward once;
+    # mul and div bound the lower end by lo * lo and lo / hi, outward for the nonnegative
+    # intervals they get: delta1 > 0 while lam < 1, and t <= delta1 / 2
+    def add(a, b): return _add(a[0], b[0], prec, False), _add(a[1], b[1], prec, True)
+    def sub(a, b): return _sub(a[0], b[1], prec, False), _sub(a[1], b[0], prec, True)
+    def mul(a, b): return _mul(a[0], b[0], prec, False), _mul(a[1], b[1], prec, True)
+    def div(a, b): return _div(a[0], b[1], prec, False), _div(a[1], b[0], prec, True)
+    def sqrt(a): return _sqrt(a[0], prec, False), _sqrt(a[1], prec, True)
+    def shift(a, k): return (a[0][0], a[0][1] + k), (a[1][0], a[1][1] + k)  # a 2^k, exact
+
+    c, s = (tuple(x[1:3] for x in iv) for iv in mpi_cos_sin((omega._mpf_,) * 2, prec))
+    one, rm, eps = ((1, 0),) * 2, (r._mpf_[1:3],) * 2, (epsilon._mpf_[1:3],) * 2
+    # delta1 = cos w, W_1 = 1 - cos w = sin^2 w / (1 + cos w), both stable, r sin w and 1 + eps
+    d1, w, rs, inf = c, div(mul(s, s), add(one, c)), mul(rm, s), add(one, eps)
+    ends, first_failure = [], None  # per receiver: lam, delta1, delta2 and W
     for k in range(1, n + 1):
-        d2 = (rs_lo[0], rs_lo[1] + 1 - k), (rs_hi[0], rs_hi[1] + 1 - k)  # r sin(w) / 2^(k-1)
-        lam_lo = _div(_mul(inf_lo, w_lo, prec, False), d2[1], prec, False)
-        lam_hi = _div(_mul(inf_hi, w_hi, prec, True), d2[0], prec, True)
-        ends.append(((lam_lo, lam_hi), d1, d2, (w_lo, w_hi)))
+        d2 = shift(rs, 1 - k)  # r sin(w) / 2^(k-1)
+        lam = div(mul(inf, w), d2)
+        ends.append((lam, d1, d2, w))
         # lam_k must lie certainly in (0, 1); an undecided comparison fails
-        if not (lam_lo[0] > 0 and lam_hi[0].bit_length() + lam_hi[1] <= 0):
+        if not (lam[0][0] > 0 and lam[1][0].bit_length() + lam[1][1] <= 0):
             first_failure = k
             break
-        # v = lam^2 / (1 + sqrt(1 - lam^2)) = 1 - sqrt(1 - lam^2)
-        sq_lo, sq_hi = _mul(lam_lo, lam_lo, prec, False), _mul(lam_hi, lam_hi, prec, True)
-        den_lo = _add(one, _sqrt(_sub(one, sq_hi, prec, False), prec, False), prec, False)
-        den_hi = _add(one, _sqrt(_sub(one, sq_lo, prec, True), prec, True), prec, True)
-        v_lo, v_hi = _div(sq_lo, den_hi, prec, False), _div(sq_hi, den_lo, prec, True)
-        # t = delta1 v / 2, W_{k+1} = W_k + t, and delta1 - t, read as 1 - W while W < 1/2
-        t_lo = _mul(d1[0], (v_lo[0], v_lo[1] - 1), prec, False)
-        t_hi = _mul(d1[1], (v_hi[0], v_hi[1] - 1), prec, True)
-        w_lo, w_hi = _add(w_lo, t_lo, prec, False), _add(w_hi, t_hi, prec, True)
-        if w_hi[0].bit_length() + w_hi[1] < 0:
-            d1 = _sub(one, w_hi, prec, False), _sub(one, w_lo, prec, True)
-        else:
-            d1 = _sub(d1[0], t_hi, prec, False), _sub(d1[1], t_lo, prec, True)
+        # v = lam^2 / (1 + sqrt(1 - lam^2)) = 1 - sqrt(1 - lam^2), t = delta1 v / 2, W_{k+1} = W_k + t
+        sq = mul(lam, lam)
+        t = mul(d1, shift(div(sq, add(one, sqrt(sub(one, sq)))), -1))
+        w = add(w, t)
+        # delta1 read as 1 - W while W < 1/2, else as delta1 - t
+        d1 = sub(one, w) if w[1][0].bit_length() + w[1][1] < 0 else sub(d1, t)
     # The report: midpoints, M_k = 2^(k-1) delta1 / cos w, the margin eps W_k / 4, success 3/4 + it
-    eps4, three_quarters = (eps[0], eps[1] - 2), (0, 3, -2, 2)  # the latter a raw mpf
+    eps4, three_quarters = shift(eps, -2), (0, 3, -2, 2)  # the latter a raw mpf
     lambdas, m_products, delta1s, delta2s, margins = zip(*(
-        [mp.make_mpf(_mid(lo, hi, prec)) for lo, hi in (lam, (
-            _div((d1[0][0], d1[0][1] + k - 1), c_hi, prec, False),
-            _div((d1[1][0], d1[1][1] + k - 1), c_lo, prec, True)), d1, d2, (
-            _mul(eps4, w[0], prec, False), _mul(eps4, w[1], prec, True)))]
+        [mp.make_mpf(_mid(lo, hi, prec))
+         for lo, hi in (lam, div(shift(d1, k - 1), c), d1, d2, mul(eps4, w))]
         for k, (lam, d1, d2, w) in enumerate(ends, 1)))
     return Schedule(omega, r, epsilon, n, lambdas, m_products,
                     tuple(map(DistinguishabilityPair, delta1s, delta2s)),

@@ -169,17 +169,17 @@ def leading_coefficient(k: int, c1: float):
     return _float_if_normal(leading_coefficient_numeric(k, c1, dps_to_prec(40)))
 
 
-def leading_coefficient_numeric(k: int, c1, prec=None) -> mp.mpf:
+def leading_coefficient_numeric(k: int, c1, prec: int) -> mp.mpf:
     """Numeric ``c_k`` via the value recurrence at ``prec`` bits; no order cap.
 
-    ``c1`` is read at ``prec`` too, rounded to nearest; ``prec`` None is the
-    caller's ``mp.prec``.  Used to bracket feasible opening angles for large
-    receiver counts, where the exact polynomial would be astronomically large.
+    ``c1`` is read at ``prec`` too, rounded to nearest.  Used to bracket
+    feasible opening angles for large receiver counts, where the exact
+    polynomial would be astronomically large.
     """
     import mpmath as mp
     from mpmath.libmp import fone, mpf_add, mpf_mul, mpf_shift, round_nearest as rn
 
-    k, prec = check_count(k, "order"), mp.mp.prec if prec is None else check_count(prec, "prec")
+    k, prec = check_count(k, "order"), check_count(prec, "prec")
     c1 = read("c1", c1, lambda v: mp.mpf(real(v), prec=prec, rounding="n"))
     if not 0 < c1 < mp.inf:  # nan and +inf fail too, instead of returning themselves
         raise DomainError(f"c1 must be positive and finite, not {c1}")

@@ -954,10 +954,12 @@ def test_import_path(tmp_path, argv, numpy, mpmath):
     assert loaded_after(tmp_path, argv)[:2] == [numpy, mpmath]
 
 
-@pytest.mark.parametrize("k, loaded", [(8, False), (9, False), (10, True)])
+@pytest.mark.parametrize("k, loaded", [(8, False), (9, False), (10, True), ("verify", False)])
 def test_import_path_of_decimal(tmp_path, k, loaded):
-    # only a squaring past smallangle.NTT_BYTES loads decimal: T_9 -> T_10 is the first
-    assert loaded_after(tmp_path, ["poly", "--k", str(k)]) == [False, False, loaded]
+    # only a squaring past smallangle.NTT_BYTES loads decimal: T_9 -> T_10 is the first;
+    # verify, which loads numpy and mpmath, checks P_4 on Q_4's integers, not on Fractions
+    argv, numeric = (["verify"], True) if k == "verify" else (["poly", "--k", str(k)], False)
+    assert loaded_after(tmp_path, argv) == [numeric, numeric, loaded]
 
 
 class TestDeterminism:
@@ -1110,6 +1112,13 @@ class TestApiContract:
         pytest.param("DensityOp.from_bloch", ((0.5, 0.5),), "bad Bloch vector (0.5, 0.5)",
                      id="state-two-components"),
         pytest.param("SharpObservable.from_axis", (1.0,), "bad Bloch vector 1.0", id="axis-scalar"),
+        # the trace part is read as a component is: text that float() parses was accepted
+        pytest.param("HermitianOp", ("0.5", (0.0, 0.0, 0.0)), "bad trace part '0.5'",
+                     id="operator-numeric-text"),
+        pytest.param("DensityOp", ("0.5", (0.1, 0.0, 0.0)), "bad trace part '0.5'",
+                     id="density-numeric-text"),
+        pytest.param("HermitianOp", (None, (0.0, 0.0, 0.0)), "bad trace part None", id="operator-none"),
+        pytest.param("HermitianOp", ("x", (0.0, 0.0, 0.0)), "bad trace part 'x'", id="operator-text"),
     ])
     def test_malformed_value_is_a_domain_error(self, name, args, message):
         call = seqrac

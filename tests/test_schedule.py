@@ -560,7 +560,7 @@ def reference_search(n, r, epsilon):
         if n == 1:
             x = 2 * mp.atan(target * r / (1 + epsilon))
         else:
-            x = target / leading_coefficient_numeric(n, (1 + epsilon) / (2 * r))
+            x = target / leading_coefficient_numeric(n, (1 + epsilon) / (2 * r), mp.mp.prec)
         lo, hi, side = (mp.mpf(0), -target), (mp.pi / 2, None), 0
         while True:
             s = lambda_sequence(x, r, epsilon, n)

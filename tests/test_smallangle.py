@@ -100,7 +100,7 @@ class TestRecurrence:
     @pytest.mark.parametrize(
         "call",
         [small_angle_poly, odd_power_expansion, lambda k: leading_coefficient(k, 0.5),
-         lambda k: leading_coefficient_numeric(k, 0.5), lambda k: omega_estimate(k, 1.0, 1e-4)],
+         lambda k: leading_coefficient_numeric(k, 0.5, 53), lambda k: omega_estimate(k, 1.0, 1e-4)],
         ids=["small_angle_poly", "odd_power_expansion", "leading_coefficient",
              "leading_coefficient_numeric", "omega_estimate"],
     )
@@ -224,7 +224,7 @@ class TestOddPowerExpansion:
             p_k = sum(c * F(1, 4) ** i for i, c in enumerate(small_angle_poly(k).coefficients))
             exact = float(2 ** (k - 1) * F(1, 2) * p_k)
             assert leading_coefficient(k, 0.5) == pytest.approx(exact, rel=1e-15)
-            numeric = leading_coefficient_numeric(k, mp.mpf("0.5"))
+            numeric = leading_coefficient_numeric(k, mp.mpf("0.5"), 53)
             assert float(numeric) == pytest.approx(exact, rel=1e-12)
 
     def test_numeric_recurrence_matches_mpf_loop(self):
@@ -235,7 +235,7 @@ class TestOddPowerExpansion:
             n, r, eps = rng.randint(1, 70), rng.uniform(0.3, 1.0), 10 ** rng.uniform(-6, -2)
             with mp.workdps(_working_dps(n, DEFAULT_DPS)):
                 c1 = (1 + mp.mpf(eps)) / (2 * mp.mpf(r))
-                got = leading_coefficient_numeric(n, c1)
+                got = leading_coefficient_numeric(n, c1, mp.mp.prec)
                 assert got._mpf_ == mpf_loop_coefficient(n, c1)._mpf_, (n, r, eps)
 
     def test_precision_is_an_argument(self):
@@ -250,7 +250,7 @@ class TestOddPowerExpansion:
 
     def test_numeric_recurrence_has_no_cap(self):
         # doubly exponential growth: far beyond double range, still finite
-        big = leading_coefficient_numeric(16, mp.mpf("0.50005"))
+        big = leading_coefficient_numeric(16, mp.mpf("0.50005"), 53)
         assert big > mp.mpf("1e9000")
         assert leading_coefficient(16, 0.50005) > mp.mpf("1e9000")
         with pytest.raises(DomainError):
@@ -261,13 +261,13 @@ class TestOddPowerExpansion:
 
     def test_numeric_recurrence_domain_checks(self):
         with pytest.raises(DomainError, match="order 0"):
-            leading_coefficient_numeric(0, 0.5)
+            leading_coefficient_numeric(0, 0.5, 53)
         for c1 in ("abc", None):  # "abc" raised a bare ValueError from mpmath
             with pytest.raises(DomainError, match=f"^bad c1 {re.escape(repr(c1))}$"):
                 leading_coefficient(3, c1)
         for c1 in (-0.5, 0.0):
             with pytest.raises(DomainError, match="c1 must be positive"):
-                leading_coefficient_numeric(3, c1)
+                leading_coefficient_numeric(3, c1, 53)
         for prec in (-5, 0, 2.5, "64", True):  # -5 ran without end
             with pytest.raises(DomainError, match=f"^prec {re.escape(repr(prec))} is not an integer"):
                 leading_coefficient_numeric(3, 0.5, prec)
