@@ -58,7 +58,8 @@ class HermitianOp:
         return self + (-1.0) * other
 
     def __rmul__(self, s: float) -> "HermitianOp":
-        s = float(s)
+        if type(s) is not float:  # read as the trace part is
+            s = read("scalar", s, lambda v: float(real(v)))
         return HermitianOp(s * self.trace_part, tuple(s * c for c in self.bloch))
 
     def dot_bloch(self, other: "HermitianOp") -> float:

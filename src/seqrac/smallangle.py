@@ -8,30 +8,22 @@ For opening angle ``omega -> 0`` the k-th unsharpness parameter behaves as
 
 so ``P_2 = 1 + x/2``; P_k has degree ``2^(k-1) - 1``, and expanding ``c_k``
 in ``c1`` produces only odd powers.  Scaled by ``2^(k-1)`` the polynomials
-have nonnegative integer coefficients,
-
-    Q_1 = 1,  Q_k = 2*Q_{k-1} + 2^(k-2) * x * Q_{k-1}^2   (k >= 2),
-
-and Q_k's coefficients are those of the odd-power expansion of ``c_k``.  Q_k
-carries a factor 2^(i-k+1) in coefficient i that each squaring would multiply
-through; with ``P_k(x) = T_k(2x) / 4^(k-1)`` the recurrence sheds it,
+have nonnegative integer coefficients, Q_k's, which are those of the
+odd-power expansion of ``c_k``.  With ``P_k(x) = T_k(2x) / 4^(k-1)``,
 
     T_1 = 1,  T_k = 4*T_{k-1} + y * T_{k-1}^2   (k >= 2),
 
-whose largest coefficient is about a quarter shorter (707 bits against 959
-at k = 10).  The exact tables are built on T_k, squaring by Kronecker
-substitution: the coefficients are packed into one number, which is squared
-once and sliced back into coefficients.  Below ``NTT_BYTES`` packed bytes the
-number is a Python int in byte slots, squared by CPython's Karatsuba; from
-there on, at T_9 -> T_10 and later steps, it is a ``decimal.Decimal`` in
-decimal-digit slots, squared by libmpdec's number-theoretic transform in a
-context that traps any rounding, so the product is exact.  Both give the same
-ints.  Q_k's coefficients are then ``q_i = t_i * 2^(i-k+1)``, an exact shift.
+and w = -y*T/4 turns this into the logistic map w -> 4w(1 - w), whose
+iterates are sin^2(2^(k-1) theta) for sin^2 theta = -y/4 (Schroeder, Math.
+Ann. 3 (1870) 296-322).  Expanding sin^2(N theta) in sin^2 theta gives T_k's
+coefficients in closed form, ``t_i = N/(i+1) * C(N+i, 2i+1)`` with
+``N = 2^(k-1)``, so ``t_0 = N^2`` and each next one is an exact integer
+ratio of the last; Q_k's are the shifts ``t_i * 2^(i-k+1)``.
 ``odd_power_expansion`` owns that table and ``small_angle_poly`` divides it by
 ``2^(k-1)``; each is built once per call, and nothing is cached.  Numeric
 values of ``c_k`` and of the opening-angle estimate come from the O(k) value
-recurrence, in raw libmp operations, and build no polynomial.  mpmath,
-``fractions`` and ``decimal`` are imported on first use.
+recurrence, in raw libmp operations, and build no polynomial.  mpmath and
+``fractions`` are imported on first use.
 """
 
 from __future__ import annotations
@@ -42,16 +34,10 @@ from dataclasses import dataclass
 
 from .errors import DomainError, check_count, check_r, read, real
 
-# On one shared Xeon core, in process, P_12 builds in 0.09-0.15 s and P_13 in
-# 0.44-0.62 s; from k = 14 on the numerators pass Python's 4300-digit int->str limit.
+# Caps what poly prints, not build time: on one shared Xeon core, in process, the
+# k = 12 table builds in about 2 ms and prints as 3.8 MB of text, k = 13 would print
+# 15.2 MB, and from k = 14 on the numerators pass Python's 4300-digit int->str limit.
 POLY_CAP = 12
-
-# Packed size in bytes from which ``_kronecker_square`` squares in decimal slots.
-# On one Xeon core, squaring random polynomials of 64 to 512 coefficients in
-# decimal took 0.53-0.97 times as long as in bytes from 21,500 to 48,000 bytes,
-# and 0.7-2.2 times from 3,500 to 20,000, where the two trade places as
-# libmpdec's transform length steps.  T_8 packs into 5,760 bytes, T_9 into 23,040.
-NTT_BYTES = 20_000
 
 
 @dataclass(frozen=True)
@@ -70,62 +56,6 @@ class RationalPolynomial:
         return RationalPolynomial(tuple(out))
 
 
-def _kronecker_square(coeffs: list[int]) -> list[int]:
-    """Square of the polynomial with nonnegative integer ``coeffs``, by Kronecker substitution.
-
-    Each coefficient gets a fixed-width slot of one packed number, wide enough to
-    hold any coefficient of the square (a sum of at most ``len(coeffs)``
-    products), so the slots of the squared number are the squared polynomial's
-    coefficients.  Below ``NTT_BYTES`` packed bytes the slots are whole bytes of
-    a Python int, which CPython squares by Karatsuba (``_square_in_bytes``); from
-    there on they are decimal digits of a ``decimal.Decimal``, which libmpdec
-    squares by number-theoretic transform (``_square_in_decimal``).  Both return
-    the same ints.
-    """
-    if len(coeffs) * _byte_slot(coeffs) < NTT_BYTES:
-        return _square_in_bytes(coeffs)
-    return _square_in_decimal(coeffs)
-
-
-def _byte_slot(coeffs: list[int]) -> int:
-    """Whole bytes that hold any coefficient of the square of ``coeffs``."""
-    return -(-(2 * max(coeffs).bit_length() + len(coeffs).bit_length()) // 8)
-
-
-def _square_in_bytes(coeffs: list[int]) -> list[int]:
-    """``_kronecker_square`` in byte slots of a Python int.
-
-    Packing and unpacking go through bytes: shifting and masking the product
-    slot by slot would take quadratic time.
-    """
-    n, width = len(coeffs), _byte_slot(coeffs)
-    packed = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in coeffs), "little")
-    data = (packed * packed).to_bytes(width * (2 * n - 1), "little")
-    return [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
-
-
-def _square_in_decimal(coeffs: list[int]) -> list[int]:
-    """``_kronecker_square`` in decimal-digit slots of a ``decimal.Decimal``.
-
-    A coefficient below 10^d squares below 10^(2d), and ``len(coeffs)`` such
-    products sum below 10^(2d + digits of len(coeffs)): that is the slot width.
-    The slots are the coefficients' zero-padded decimal strings, highest power
-    first, and the product's string is cut back into them.  The context's
-    precision is MAX_PREC and its Inexact and Rounded signals are traps, so the
-    product is exact or the call raises; the Decimal constructor never rounds.
-    """
-    import decimal
-
-    n = len(coeffs)
-    digits = [str(c) for c in coeffs]
-    width = 2 * max(map(len, digits)) + len(str(n))
-    packed = decimal.Decimal("".join([s.zfill(width) for s in reversed(digits)]))
-    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
-                            traps=[decimal.Inexact, decimal.Rounded])
-    square = str(exact.multiply(packed, packed)).zfill(width * (2 * n - 1))
-    return [int(square[i - width:i]) for i in range(len(square), 0, -width)]
-
-
 def odd_power_expansion(k: int) -> tuple[int, ...]:
     """Integer coefficients of ``c_k`` on the odd powers ``c1^1, c1^3, ...``.
 
@@ -135,12 +65,10 @@ def odd_power_expansion(k: int) -> tuple[int, ...]:
     k = check_count(k, "order")
     if k > POLY_CAP:
         raise DomainError(f"polynomial order {k} outside [1, {POLY_CAP}]")
-    t = [1]
-    for _ in range(k - 1):
-        nxt = [0] + _kronecker_square(t)
-        for i, c in enumerate(t):
-            nxt[i] += c << 2
-        t = nxt
+    n = 1 << (k - 1)
+    t = [n * n]
+    for i in range(n - 1):  # t_{i+1} = t_i * (N+i+1)(N-i-1) / (2(i+2)(2i+3)), an integer
+        t.append(t[-1] * ((n + i + 1) * (n - i - 1)) // (2 * (i + 2) * (2 * i + 3)))
     return tuple((c << i) >> (k - 1) for i, c in enumerate(t))
 
 

@@ -722,16 +722,17 @@ class TestPolyCommand:
                 f"({c})*x^{n}" if n else f"{c}" for n, c in enumerate(p))
 
     def test_table_is_built_once(self, monkeypatch):
-        # P_8 and c_8 both print from one T_8: seven squarings, not fourteen
-        squarings, square = [], seqrac.smallangle._kronecker_square
+        # P_8 and c_8 both print from one table: one build, not two
+        builds, build = [], seqrac.smallangle.odd_power_expansion
 
-        def counted(coeffs):
-            squarings.append(len(coeffs))
-            return square(coeffs)
+        def counted(k):
+            builds.append(k)
+            return build(k)
 
-        monkeypatch.setattr(seqrac.smallangle, "_kronecker_square", counted)
+        for module in (seqrac.cli, seqrac.smallangle):
+            monkeypatch.setattr(module, "odd_power_expansion", counted)
         assert main(["poly", "--k", "8"]) == EXIT_OK
-        assert squarings == [2 ** j for j in range(7)]
+        assert builds == [8]
 
 
 VERIFY_LINES = [
@@ -908,29 +909,33 @@ class TestExitCodes:
 
 # Runs one command in a fresh interpreter, so that no other test has loaded
 # numpy, mpmath or decimal yet, and prints whether each of them is loaded after it.
+# The first argument is the src that seqrac must come from.
 IMPORT_PATH_SCRIPT = r"""
 import sys
 from pathlib import Path
 
 import seqrac, seqrac.cli
 
+src = Path(sys.argv[1])
+assert Path(seqrac.__file__).resolve().is_relative_to(src), f"seqrac from {seqrac.__file__}, not {src}"
 assert seqrac.cli._parser.cache_info().currsize == 0, "parser built at import"
 loaded = [name for name in ("numpy", "mpmath", "fractions") if name in sys.modules]
 assert not loaded, f"import seqrac, seqrac.cli loaded {loaded}"
-out = sys.argv[1]
+out = sys.argv[2]
 (Path(out) / "sim.cfg").write_text("omega = 0.3\nlambdas = 0.5\nshots = 1000\nseed = 1\n")
-argv = [arg.replace("@out", out) for arg in sys.argv[2:]]
+argv = [arg.replace("@out", out) for arg in sys.argv[3:]]
 assert seqrac.cli.main(argv) == 0, argv
 print("numpy" in sys.modules, "mpmath" in sys.modules, "decimal" in sys.modules)
 """
 
 
 def loaded_after(tmp_path, argv) -> list[bool]:
-    """Whether numpy, mpmath and decimal are loaded after ``argv`` runs in a fresh interpreter."""
-    src = Path(__file__).resolve().parents[1] / "src"
+    """Whether numpy, mpmath and decimal are loaded after ``argv`` runs in a fresh interpreter
+    on the seqrac this test process imported, which tools/mutants.py may have mutated."""
+    src = Path(seqrac.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_PATH_SCRIPT, str(tmp_path), *argv],
+        [sys.executable, "-c", IMPORT_PATH_SCRIPT, str(src), str(tmp_path), *argv],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -954,10 +959,10 @@ def test_import_path(tmp_path, argv, numpy, mpmath):
     assert loaded_after(tmp_path, argv)[:2] == [numpy, mpmath]
 
 
-@pytest.mark.parametrize("k, loaded", [(8, False), (9, False), (10, True), ("verify", False)])
+@pytest.mark.parametrize("k, loaded", [(8, False), (9, False), (10, False), ("verify", False)])
 def test_import_path_of_decimal(tmp_path, k, loaded):
-    # only a squaring past smallangle.NTT_BYTES loads decimal: T_9 -> T_10 is the first;
-    # verify, which loads numpy and mpmath, checks P_4 on Q_4's integers, not on Fractions
+    # the table is T_k's closed form in ints, so no poly loads decimal; verify, which loads
+    # numpy and mpmath, checks P_4 on Q_4's integers, not on Fractions
     argv, numeric = (["verify"], True) if k == "verify" else (["poly", "--k", str(k)], False)
     assert loaded_after(tmp_path, argv) == [numeric, numeric, loaded]
 
@@ -1126,4 +1131,12 @@ class TestApiContract:
             call = getattr(call, part)
         with pytest.raises(seqrac.DomainError) as info:
             call(*args)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("s, message", [("0.5", "bad scalar '0.5'"), (None, "bad scalar None")],
+                             ids=["numeric-text", "none"])
+    def test_malformed_scalar_is_a_domain_error(self, s, message):
+        # s * op ran float(s): text that float() parses was accepted, None a bare TypeError
+        with pytest.raises(seqrac.DomainError) as info:
+            s * seqrac.HermitianOp(0.5, (0.1, 0.0, 0.0))
         assert str(info.value) == message

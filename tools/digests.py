@@ -49,9 +49,8 @@ and to 1.0, across the fixed/exponent boundary and to the next digit.
 Then ``thresholds --grid 7 --delta2`` at 0, 0.6 and 1, which no other run
 covers (``inf`` thresholds and both ``simplex_violated`` values), and
 ``region --resolution 2``, the smallest grid.  Last, ``poly --k 11`` and
-``--k 12 --out``: k = 10 is the first table with a squaring past
-``smallangle.NTT_BYTES``, and these two make two and three such squarings, up
-to ``POLY_CAP``.
+``--k 12 --out``, the two largest tables, up to ``POLY_CAP``, whose
+coefficients run to 581 and 1,167 digits.
 """
 
 import contextlib

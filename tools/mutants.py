@@ -22,12 +22,11 @@ in (0, 1) decision at both edges, the sticky bits of ``_div`` and ``_sqrt``,
 and ``_dec``'s guard width, re-read step, tie window, constants (their
 precision and the shift of ln 2), carry, sign and final rounding; in ``rac``'s disc-bound
 sampler, the maximum taken, the ball radius and the range of z; and in
-``smallangle``'s exact table, T_k's factor 4, the back-shift from T_k to Q_k,
-the byte slot's room for the sum of products, the decimal slot one digit
-short and its slots packed or read in the wrong order, the 2^(k-1) over which
-``poly`` prints P_k from that table and its shift let past k - 1, and one
-product of ``omega_estimate``'s raw loop rounded in another order, and
-``leading_coefficient`` at 30 digits instead of 40.  A mutant
+``smallangle``'s exact table, T_k's first coefficient N^2 taken as N, each
+factor of its coefficient ratio off by one and the back-shift from T_k to Q_k,
+the 2^(k-1) over which ``poly`` prints P_k from that table and its shift let
+past k - 1, one product of ``omega_estimate``'s raw loop rounded in another
+order, and ``leading_coefficient`` at 30 digits instead of 40.  A mutant
 marked equivalent carries the reason no test can kill it.
 
 It prints one line per mutant (killed or survived, seconds, and the first
@@ -151,20 +150,15 @@ SAMPLER = (
 SMALLANGLE = ("tests/test_smallangle.py",)
 POLY = ("tests/test_cli.py::TestPolyCommand",)
 ESTIMATE = ("tests/test_smallangle.py::TestOmegaEstimate",)
+RATIO = "t.append(t[-1] * ("
 TABLE = (
-    Mutant("table: T_k = 2*T_{k-1} + ...", "smallangle.py", "nxt[i] += c << 2", "<< 2", "<< 1",
-           SMALLANGLE),
+    Mutant("table: t_0 = N", "smallangle.py", "t = [n * n]", "n * n", "n", SMALLANGLE),
+    Mutant("table: N+i+1 as N+i", "smallangle.py", RATIO, "(n + i + 1)", "(n + i)", SMALLANGLE),
+    Mutant("table: N-i-1 as N-i", "smallangle.py", RATIO, "(n - i - 1)", "(n - i)", SMALLANGLE),
+    Mutant("table: 2i+3 as 2i+1", "smallangle.py", RATIO, "(2 * i + 3)", "(2 * i + 1)", SMALLANGLE),
+    Mutant("table: i+2 as i+1", "smallangle.py", RATIO, "(i + 2)", "(i + 1)", SMALLANGLE),
     Mutant("table: back-shift by k - 2", "smallangle.py", "return tuple((c << i) >> (k - 1)",
            "(k - 1)", "(k - 2)", SMALLANGLE),
-    Mutant("kronecker: slot without the n term", "smallangle.py", "return -(-(2 * max(coeffs)",
-           " + len(coeffs).bit_length()", "", SMALLANGLE),
-    Mutant("decimal: slot one digit short", "smallangle.py", "width = 2 * max(map(len, digits))",
-           "len(str(n))", "len(str(n)) - 1", SMALLANGLE),
-    Mutant("decimal: slots packed lowest power first", "smallangle.py",
-           "packed = decimal.Decimal(", "reversed(digits)", "digits", SMALLANGLE),
-    Mutant("decimal: product read highest power first", "smallangle.py",
-           "return [int(square[i - width:i])", "range(len(square), 0, -width)",
-           "range(width, len(square) + 1, width)", SMALLANGLE),
     Mutant("poly: P_k over 2^k", "cli.py", "terms, den = [], len(expansion)", "len(expansion)",
            "2 * len(expansion)", POLY),
     Mutant("poly: shift past k - 1", "cli.py", "low = (b | den) & -(b | den)",
