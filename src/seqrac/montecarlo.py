@@ -30,7 +30,7 @@ from typing import NamedTuple
 from .bloch import DensityOp
 from .channel import SequentialChannelStep, _disturbance, nonselective_step
 from .errors import AxisError, DomainError, check_count, check_seed
-from .rac import BITS, PreparationFamily
+from .rac import BITS, PreparationFamily, _check_family
 from .sequential import _check_steps, propagate
 
 RNG_ALGORITHM = "philox4x64/run-stream/multinomial-split"
@@ -48,6 +48,7 @@ class SimulationConfig:
         if check_count(self.shots, "shots") >= 1 << 63:  # multinomial takes an int64
             raise DomainError(f"shots {self.shots} above 2^63 - 1")
         check_seed(self.seed)
+        _check_family(self.prep)
         # The kernel works in the frame of steps[0]'s axes
         _check_steps(self.steps)
         if not self.steps[0].anticommuting:

@@ -69,21 +69,23 @@ def square_preparations(omega: float, r: float = 1.0) -> PreparationFamily:
     return PreparationFamily.from_bloch_vectors(vectors)
 
 
+def _check_family(prep) -> None:
+    """``prep`` must be a ``PreparationFamily`` of four states, one per ``BITS`` entry."""
+    states = prep.states if isinstance(prep, PreparationFamily) else prep
+    count = len(states) if isinstance(states, (tuple, list)) else None
+    if count != 4:
+        raise DomainError(f"a preparation family holds 4 states, not {count or repr(states)}")
+
+
 def marginals(prep: PreparationFamily, y: int) -> tuple[DensityOp, DensityOp]:
     """Equal-weight marginal ensembles for bit ``y`` in {1, 2}."""
+    _check_family(prep)
     if y not in (1, 2):
         raise DomainError(f"bit index {y} not in {{1, 2}}")
     out = []
     for value in (0, 1):
-        if y == 1:
-            pair = (prep.state(value, 0), prep.state(value, 1))
-        else:
-            pair = (prep.state(0, value), prep.state(1, value))
-        n = tuple(
-            0.5 * (a + b)
-            for a, b in zip(pair[0].bloch_vector, pair[1].bloch_vector)
-        )
-        out.append(DensityOp.from_bloch(n))
+        a, b = (rho for rho, bits in zip(prep.states, BITS) if bits[y - 1] == value)
+        out.append(DensityOp.from_bloch(tuple(0.5 * (p + q) for p, q in zip(a.bloch_vector, b.bloch_vector))))
     return out[0], out[1]
 
 
@@ -122,9 +124,9 @@ def avg_success(
     Bounded by ``1/2 + (lam1*Delta1 + lam2*Delta2)/4``, with equality when
     each observable is the Helstrom observable of its marginal pair.
     """
+    _check_family(prep)
     total = 0.0
-    for x1, x2 in BITS:
-        rho = prep.state(x1, x2)
+    for (x1, x2), rho in zip(BITS, prep.states):
         for y, m in ((1, m1), (2, m2)):
             bit = x1 if y == 1 else x2
             sign = +1 if bit == 0 else -1

@@ -240,7 +240,7 @@ def find_omega(n: int, r, epsilon) -> Schedule:
 
     The target is lam_n = 1 - 10^-TARGET_DIGITS.  The first point is its
     closed-form inverse for n = 1 and ``target / c_n`` otherwise, with c_n
-    from the value recurrence; in the small-angle regime (n >= 8) that point
+    from its sinh closed form; in the small-angle regime (n >= 8) that point
     already meets the stop, so one :func:`lambda_sequence` call proves it.
     From there regula falsi with the Illinois weighting runs on ``lam_n -
     target``, bisecting while the upper end failed at an earlier receiver,

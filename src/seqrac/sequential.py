@@ -22,7 +22,7 @@ from .channel import SequentialChannelStep, _channel_bloch, _check_lambda, _dist
 from .channel import nonselective_step  # noqa: F401
 from .errors import AlignmentError, AxisError, DomainError
 from .rac import DistinguishabilityPair, PreparationFamily, delta_pair
-from .rac import _check_delta, _half_differences, _vector_delta_pair
+from .rac import _check_delta, _check_family, _half_differences, _vector_delta_pair
 
 ALIGNMENT_TOL = 1e-9
 AXIS_TOL = 1e-12
@@ -97,6 +97,7 @@ def propagate(
     receiver; the final entry, which has no measurement configured, carries
     ``None``.
     """
+    _check_family(prep)
     _check_steps(steps)
     vectors = [rho.bloch_vector for rho in prep.states]
     if check_alignment:

@@ -20,10 +20,10 @@ coefficients in closed form, ``t_i = N/(i+1) * C(N+i, 2i+1)`` with
 ``N = 2^(k-1)``, so ``t_0 = N^2`` and each next one is an exact integer
 ratio of the last; Q_k's are the shifts ``t_i * 2^(i-k+1)``.
 ``odd_power_expansion`` owns that table and ``small_angle_poly`` divides it by
-``2^(k-1)``; each is built once per call, and nothing is cached.  Numeric
-values of ``c_k`` and of the opening-angle estimate come from the O(k) value
-recurrence, in raw libmp operations, and build no polynomial.  mpmath and
-``fractions`` are imported on first use.
+``2^(k-1)``; each is built once per call, and nothing is cached.  At an imaginary theta
+the conjugacy gives c_k = 2*sinh(N*phi)^2/(N*c1) with sinh(phi) = c1/sqrt(2), and
+c*c_k'(c) = 4*sinh*cosh/sqrt(2 + c^2) - c_k (of N*phi) linearises the opening-angle
+estimate, both from one raw-libmp ``_sinh_cosh``; mpmath and fractions load on first use.
 """
 
 from __future__ import annotations
@@ -86,54 +86,58 @@ def _float_if_normal(value):
     return f if math.isfinite(f) and abs(f) >= sys.float_info.min else value
 
 
-def leading_coefficient(k: int, c1: float):
-    """``c_k = 2^(k-1) * c1 * P_k(c1^2)`` from the value recurrence at 40 digits.
+def _sinh_cosh(k: int, c, prec: int):
+    """Raw sinh(N*phi) and cosh(N*phi), N = 2^(k-1), sinh(phi) = c/sqrt(2), at ``prec`` bits.
 
-    Returns a float when it is a normal double, otherwise an mpmath value
-    (the coefficients grow doubly exponentially in k).
+    phi = ln(x + sqrt(1 + x^2)), x = c/sqrt(2), at ``wp`` bits is off by d <= 8*max(1, phi)*2^-wp,
+    so sinh(N*phi) by a relative N*d*coth(N*phi) <= (N + 1/phi)*d, cosh by less.  With
+    2^(e-1) <= c < 2^e, phi < e + 1 <= 2^e if phi >= 1 (large c) and 1/phi < 2^(2-e) if not
+    (small c), so the guard k + |e| + 24 keeps both within 2^-(prec+19) before rounding.
     """
+    from mpmath.libmp import fone, ftwo, mpf_add, mpf_cosh_sinh, mpf_div, mpf_log, mpf_mul
+    from mpmath.libmp import mpf_shift, mpf_sqrt, round_nearest as rn
+
+    wp = prec + k + abs(c[2] + c[3]) + 24
+    x = mpf_div(c, mpf_sqrt(ftwo, wp, rn), wp, rn)
+    u = mpf_add(x, mpf_sqrt(mpf_add(fone, mpf_mul(x, x, wp, rn), wp, rn), wp, rn), wp, rn)
+    ch, sh = mpf_cosh_sinh(mpf_shift(mpf_log(u, wp, rn), k - 1), prec, rn)
+    return sh, ch
+
+
+def leading_coefficient(k: int, c1: float):
+    """``c_k = 2^(k-1) * c1 * P_k(c1^2)`` at 40 digits: a float when it is a normal double,
+    otherwise an mpmath value (the coefficients grow doubly exponentially in k)."""
     from mpmath.libmp import dps_to_prec
 
     return _float_if_normal(leading_coefficient_numeric(k, c1, dps_to_prec(40)))
 
 
 def leading_coefficient_numeric(k: int, c1, prec: int) -> mp.mpf:
-    """Numeric ``c_k`` via the value recurrence at ``prec`` bits; no order cap.
-
-    ``c1`` is read at ``prec`` too, rounded to nearest.  Used to bracket
-    feasible opening angles for large receiver counts, where the exact
-    polynomial would be astronomically large.
-    """
+    """``c_k = 2*sinh(N*phi)^2 / (N*c1)`` within a few ulps at ``prec`` bits, ``c1`` read at
+    ``prec`` too, rounded to nearest; no order cap, for receiver counts past any polynomial."""
     import mpmath as mp
-    from mpmath.libmp import fone, mpf_add, mpf_mul, mpf_shift, round_nearest as rn
+    from mpmath.libmp import mpf_div, mpf_mul, mpf_shift, round_nearest as rn
 
     k, prec = check_count(k, "order"), check_count(prec, "prec")
     c1 = read("c1", c1, lambda v: mp.mpf(real(v), prec=prec, rounding="n"))
     if not 0 < c1 < mp.inf:  # nan and +inf fail too, instead of returning themselves
         raise DomainError(f"c1 must be positive and finite, not {c1}")
-    # raw libmp calls at prec, rounded to nearest, in the operation order of
-    # p = p + 2^(2j-5) * x * p * p, with the powers of two exact shifts
-    x = mpf_mul(c1._mpf_, c1._mpf_, prec, rn)
-    p = fone  # P_1
-    for j in range(2, k + 1):
-        t = mpf_mul(mpf_mul(mpf_shift(x, 2 * j - 5), p, prec, rn), p, prec, rn)
-        p = mpf_add(p, t, prec, rn)
-    return mp.make_mpf(mpf_mul(mpf_shift(c1._mpf_, k - 1), p, prec, rn))
+    sh, _ = _sinh_cosh(k, c1._mpf_, prec)
+    return mp.make_mpf(mpf_div(mpf_shift(mpf_mul(sh, sh, prec, rn), 2 - k), c1._mpf_, prec, rn))
 
 
 def omega_estimate(k: int, r: float, epsilon: float):
     """First-order estimate of the largest workable opening angle.
 
-    Inverts ``lam_k ~ c_k * omega = 1`` with ``c_k`` linearised in
-    ``epsilon`` about ``c0 = 1/(2r)``: ``1 / (c_k(c0) + eps*c0*c_k'(c0))``,
-    with the derivative carried through the value recurrence in forward
-    mode.  For k=4, r=1 this is the closed form
-    ``2048/(85*(765 + 3347*eps))``.  Returns a float when it is a normal
-    double, otherwise an mpmath value.
+    Inverts ``lam_k ~ c_k * omega = 1`` with ``c_k`` linearised in ``epsilon`` about
+    ``c0 = 1/(2r)``: ``1 / (c_k + eps*c0*c_k') = 1 / ((1 - eps)*c_k + eps*dcck)`` at 40
+    digits, where ``dcck = (c*c_k)' = 4*sinh*cosh/sqrt(2 + c0^2)``.  For k=1 it is
+    ``2r/(1 + eps)``, for k=4, r=1 ``2048/(85*(765 + 3347*eps))``.  Returns a float
+    when it is a normal double, otherwise an mpmath value.
     """
     import mpmath as mp
-    from mpmath.libmp import dps_to_prec, fhalf, fone, from_float, from_int, fzero
-    from mpmath.libmp import mpf_add, mpf_div, mpf_mul, mpf_shift, round_nearest
+    from mpmath.libmp import dps_to_prec, fhalf, fone, from_float, from_int, ftwo, round_nearest as rn
+    from mpmath.libmp import mpf_add, mpf_div, mpf_mul, mpf_shift, mpf_sqrt, mpf_sub
 
     k = check_count(k, "order")
     r, epsilon = check_r(read("r", r, real)), read("epsilon", epsilon, real)
@@ -143,21 +147,12 @@ def omega_estimate(k: int, r: float, epsilon: float):
     # other real number is read as its nearest double
     r, epsilon = (v._mpf_ if isinstance(v, mp.mpf) else from_int(v) if isinstance(v, int)
                   else from_float(float(v)) for v in (r, epsilon))
-    # raw libmp calls at 40 digits, rounded to nearest, giving the bits of the mpf loop
-    # c = 1/2 / r; p, dp = p + s*x*p*p, dp + s*(dx*p*p + 2*x*p*dp) with s = 2^(2j-5);
-    # 1 / (2^(k-1)*c*p + eps*c*(2^(k-1)*(p + c*dp))): a power of two is an exact shift,
-    # taken before or after a rounding alike, so s*x*p and 2*x*p share the product x*p
-    prec, rn = dps_to_prec(40), round_nearest
+    prec = dps_to_prec(40)
     c = mpf_div(fhalf, r, prec, rn)
-    x, dx = mpf_mul(c, c, prec, rn), mpf_shift(c, 1)
-    p, dp = fone, fzero
-    for j in range(2, k + 1):
-        xp = mpf_mul(x, p, prec, rn)
-        dxpp = mpf_mul(mpf_mul(dx, p, prec, rn), p, prec, rn)
-        dsum = mpf_add(dxpp, mpf_shift(mpf_mul(xp, dp, prec, rn), 1), prec, rn)
-        p, dp = (mpf_add(p, mpf_shift(mpf_mul(xp, p, prec, rn), 2 * j - 5), prec, rn),
-                 mpf_add(dp, mpf_shift(dsum, 2 * j - 5), prec, rn))
-    ck = mpf_mul(mpf_shift(c, k - 1), p, prec, rn)
-    dck = mpf_shift(mpf_add(p, mpf_mul(c, dp, prec, rn), prec, rn), k - 1)
-    den = mpf_add(ck, mpf_mul(mpf_mul(epsilon, c, prec, rn), dck, prec, rn), prec, rn)
+    sh, ch = _sinh_cosh(k, c, prec)
+    ck = mpf_div(mpf_shift(mpf_mul(sh, sh, prec, rn), 2 - k), c, prec, rn)
+    root = mpf_sqrt(mpf_add(ftwo, mpf_mul(c, c, prec, rn), prec, rn), prec, rn)
+    dcck = mpf_div(mpf_shift(mpf_mul(sh, ch, prec, rn), 2), root, prec, rn)
+    den = mpf_add(mpf_mul(mpf_sub(fone, epsilon, prec, rn), ck, prec, rn),
+                  mpf_mul(epsilon, dcck, prec, rn), prec, rn)
     return _float_if_normal(mp.make_mpf(mpf_div(fone, den, prec, rn)))

@@ -1073,6 +1073,9 @@ class TestContract:
 
 X_AXIS = seqrac.SharpObservable.from_axis((1.0, 0.0, 0.0))
 Z_AXIS = seqrac.SharpObservable.from_axis((0.0, 0.0, 1.0))
+THREE_STATES = seqrac.PreparationFamily(seqrac.square_preparations(0.3).states[:3])
+STEP = seqrac.SequentialChannelStep(X_AXIS, Z_AXIS, 0.5)
+HALF_Z = seqrac.UnsharpBinaryMeasurement(Z_AXIS, 0.5)
 
 
 class TestApiContract:
@@ -1124,6 +1127,21 @@ class TestApiContract:
                      id="density-numeric-text"),
         pytest.param("HermitianOp", (None, (0.0, 0.0, 0.0)), "bad trace part None", id="operator-none"),
         pytest.param("HermitianOp", ("x", (0.0, 0.0, 0.0)), "bad trace part 'x'", id="operator-text"),
+        # a family of other than four states: a bare ValueError or IndexError, or accepted
+        pytest.param("propagate", (THREE_STATES, [STEP]), "a preparation family holds 4 states, not 3",
+                     id="propagate-three-states"),
+        pytest.param("delta_pair", (THREE_STATES,), "a preparation family holds 4 states, not 3",
+                     id="delta-pair-three-states"),
+        pytest.param("avg_success", (THREE_STATES, HALF_Z, HALF_Z), "a preparation family holds 4 states, not 3",
+                     id="success-three-states"),
+        pytest.param("marginals", (THREE_STATES, 2), "a preparation family holds 4 states, not 3",
+                     id="marginals-three-states"),
+        pytest.param("SimulationConfig", (THREE_STATES, (STEP,), 100, 1),
+                     "a preparation family holds 4 states, not 3", id="simulation-three-states"),
+        pytest.param("SimulationConfig", (seqrac.PreparationFamily(None), (STEP,), 100, 1),
+                     "a preparation family holds 4 states, not None", id="simulation-no-states"),
+        pytest.param("delta_pair", (seqrac.PreparationFamily(None),),
+                     "a preparation family holds 4 states, not None", id="delta-pair-no-states"),
     ])
     def test_malformed_value_is_a_domain_error(self, name, args, message):
         call = seqrac

@@ -23,6 +23,7 @@ from seqrac import (
     thresholds,
 )
 from seqrac.rac import (
+    THRESHOLD_DENOM_TOL,
     _family_delta_sq,
     _half_differences,
     _vector_delta_pair,
@@ -196,6 +197,12 @@ class TestThresholds:
         rep = thresholds(DistinguishabilityPair(0.5, 1e-16))
         assert rep.lambda_symmetric_critical == 1.0 / (0.5 + 1e-16)
         assert math.isinf(rep.lambda_asymmetric_critical)
+
+    def test_denominator_at_the_tolerance_divides(self):
+        # the sentinel is for denominators below THRESHOLD_DENOM_TOL, not at it
+        rep = thresholds(DistinguishabilityPair(0.0, THRESHOLD_DENOM_TOL))
+        assert rep.lambda_symmetric_critical == rep.lambda_asymmetric_critical == 1.0 / THRESHOLD_DENOM_TOL
+        assert rep.lambda_symmetric_critical == pytest.approx(1e15)
 
 
 class TestDiscBound:

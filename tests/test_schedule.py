@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import (
-    from_man_exp, mpf_add, mpf_div, mpf_mul, mpf_sqrt, mpf_sub, mpi_mid, round_ceiling,
+    dps_to_prec, from_man_exp, mpf_add, mpf_div, mpf_mul, mpf_sqrt, mpf_sub, mpi_mid, round_ceiling,
     round_floor, round_nearest,
 )
 
@@ -213,6 +213,18 @@ class TestFindOmega:
         # precision they agreed only to 2e-32
         with mp.workdps(100):
             assert all(abs(a - b) <= mp.mpf("1e-50") * b for a, b in zip(*(s.lambdas for s in runs)))
+
+    def test_large_n_lambdas_follow_the_closed_form(self):
+        # the certified pass and c_k's closed form share no code: at n = 1000, where omega is
+        # about 10^-300, each lam_k is c_k * omega to far below 1e-50 (1.2e-61 measured),
+        # with c_k at the schedule's working precision
+        s = find_omega(1000, 0.7, 1e-3)
+        prec = dps_to_prec(_working_dps(1000, DEFAULT_DPS))
+        with mp.workprec(prec):
+            c1 = (1 + s.epsilon) / (2 * s.r)
+            for k in (1, 500, 999, 1000):
+                c_k = leading_coefficient_numeric(k, c1, prec)
+                assert abs(s.lambdas[k - 1] / (c_k * s.omega) - 1) < mp.mpf("1e-50"), k
 
     def test_domain_checks_name_the_bad_parameter(self):
         with pytest.raises(DomainError, match=r"^r -1\.0 outside"):

@@ -233,6 +233,19 @@ class TestAlignmentTolerance:
         with pytest.raises(AlignmentError, match=f"bit-{y} "):
             propagate(tilted_family(omega, r, y, 2e-9), steps)
 
+    def test_anti_aligned_edge_reads_the_full_difference(self):
+        # ALIGNMENT_TOL bounds the full bit-2 difference, 2s here, twice the halved one
+        # that the check sums: 2s = -1.5e-9 is refused, 2s = -0.5e-9 accepted
+        c = math.cos(0.3)
+        for s, refused in ((-0.75e-9, True), (-0.25e-9, False)):
+            prep = PreparationFamily.from_bloch_vectors(
+                [((-1) ** x1 * c, 0.0, (-1) ** x2 * s) for x1, x2 in BITS])
+            if refused:
+                with pytest.raises(AlignmentError, match="bit-2 "):
+                    propagate(prep, steps_for([0.5]))
+            else:
+                propagate(prep, steps_for([0.5]))
+
     def test_anti_aligned_family_rejected(self):
         steps = [SequentialChannelStep(SharpObservable.from_axis((-1.0, 0.0, 0.0)), Z, 0.5)]
         with pytest.raises(AlignmentError, match="bit-1 "):

@@ -3,6 +3,7 @@
 import math
 import random
 import re
+import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -19,14 +20,33 @@ from seqrac import (
     small_angle_poly,
 )
 from seqrac.schedule import DEFAULT_DPS, _working_dps
-from seqrac.smallangle import POLY_CAP, leading_coefficient_numeric
+from seqrac.smallangle import POLY_CAP, _float_if_normal, leading_coefficient_numeric
 
 F = Fraction
+PREC_40 = dps_to_prec(40)
+# Units of 2^-prec, relative, that the closed form may lie from its oracle.  sinh and cosh
+# come within 2^-(prec+19) of exact before their rounding to nearest, and libmp's own
+# error is below 2^-(prec+10), so each is off by at most 1.01 units; each later rounding
+# adds 1.  c_k = 2*sinh^2/(N*c1): 2*1.01 + 1 + 1 <= 5.  The estimate, for eps <= 1, adds
+# two positive terms: (1 - eps)*c_k, 1 + 4.02 + 1 = 6.02, and eps*4*sinh*cosh/sqrt(2 + c0^2),
+# 3.02 for sinh*cosh, 2 for the root, 1 for their quotient and 1 for eps: 7.02; the sum
+# and the reciprocal give 7.02 + 1 + 1 <= 10.
+C_K_ULPS, ESTIMATE_ULPS = 5, 10
+
+
+def assert_close(got, want, ulps, prec, *where):
+    """``got`` within ``ulps`` units of 2^-prec of ``want``, relative, plus a double's own
+    rounding (2^-53) when it came back as a float."""
+    with mp.workprec(prec + 64):
+        err = abs(mp.mpf(got) / want - 1)
+        bound = ulps * mp.ldexp(1, -prec) + (mp.ldexp(1, -53) if isinstance(got, float) else 0)
+        assert err <= bound, (got, want, err / mp.ldexp(1, -prec), *where)
 
 
 def mpf_loop_coefficient(k, c1):
-    """c_k from the value recurrence in high-level mpf arithmetic: the
-    reference for :func:`leading_coefficient_numeric`."""
+    """c_k from the value recurrence in high-level mpf arithmetic at the caller's precision:
+    the oracle for :func:`leading_coefficient_numeric`'s closed form.  A rounding at step j
+    reaches c_k amplified up to 2^(k-j), so run it at k + 200 bits above the closed form's."""
     x = c1 * c1
     p = mp.mpf(1)
     for j in range(2, k + 1):
@@ -35,10 +55,13 @@ def mpf_loop_coefficient(k, c1):
 
 
 def mpf_loop_estimate(k, r, epsilon):
-    """omega_estimate's value in high-level mpf arithmetic: the reference for its
-    raw libmp loop, which must give the same bits."""
+    """omega_estimate's value from the value recurrence, its epsilon-derivative in forward
+    mode, in high-level mpf arithmetic: the oracle for its closed form.  c0 = 1/(2r) is
+    rounded to 40 digits, as omega_estimate reads it, since c_k moves up to 2^k times as
+    much; the rest runs at k + 200 bits more."""
     with mp.workdps(40):
         c = mp.mpf(0.5) / r
+    with mp.workprec(PREC_40 + k + 200):
         x, dx = c * c, 2 * c
         p, dp = mp.mpf(1), mp.mpf(0)
         for j in range(2, k + 1):
@@ -190,25 +213,42 @@ class TestOddPowerExpansion:
             assert float(numeric) == pytest.approx(exact, rel=1e-12)
 
     def test_numeric_recurrence_matches_mpf_loop(self):
-        # the raw libmp recurrence gives the bits of the high-level loop at
-        # find_omega's working precision, so c_n and its first point stay put
+        # the closed form at find_omega's working precision, the c_n of its first point,
+        # is within C_K_ULPS of the value recurrence run at n + 200 bits more
         rng = random.Random(20261018)
         for _ in range(300):
             n, r, eps = rng.randint(1, 70), rng.uniform(0.3, 1.0), 10 ** rng.uniform(-6, -2)
-            with mp.workdps(_working_dps(n, DEFAULT_DPS)):
+            prec = dps_to_prec(_working_dps(n, DEFAULT_DPS))
+            with mp.workprec(prec):
                 c1 = (1 + mp.mpf(eps)) / (2 * mp.mpf(r))
-                got = leading_coefficient_numeric(n, c1, mp.mp.prec)
-                assert got._mpf_ == mpf_loop_coefficient(n, c1)._mpf_, (n, r, eps)
+            got = leading_coefficient_numeric(n, c1, prec)
+            with mp.workprec(prec + n + 200):
+                assert_close(got, mpf_loop_coefficient(n, c1), C_K_ULPS, prec, n, r, eps)
 
     def test_precision_is_an_argument(self):
-        # leading_coefficient works at 40 digits, and prec sets the bits, not mp.prec
+        # leading_coefficient works at 40 digits, and prec sets the bits, not mp.prec,
+        # which stays at 53 here: a 53-bit result would miss the bound by 2^80
         rng = random.Random(20261020)
         for _ in range(100):
             k, c1 = rng.randint(16, 40), rng.uniform(0.5, 1.5)
-            with mp.workdps(40):
+            with mp.workprec(PREC_40 + k + 200):
                 want = mpf_loop_coefficient(k, mp.mpf(c1))
-            assert leading_coefficient(k, c1)._mpf_ == want._mpf_, (k, c1)
-            assert leading_coefficient_numeric(k, c1, dps_to_prec(40))._mpf_ == want._mpf_, (k, c1)
+            assert_close(leading_coefficient(k, c1), want, C_K_ULPS, PREC_40, k, c1)
+            assert_close(leading_coefficient_numeric(k, c1, PREC_40), want, C_K_ULPS, PREC_40, k, c1)
+
+    @pytest.mark.parametrize("c1", [1e-6, 0.5005, 0.6, 1.3, 50.0])
+    def test_high_order_at_40_digits(self, c1):
+        # at find_omega's precision, which carries n*log10(2) digits of its own, the
+        # guard's k term could go unseen; at 40 digits k = 200 needs it
+        for k in (1, 2, 3, 7, 20, 64, 130, 200):
+            with mp.workprec(PREC_40 + k + 200):
+                want = mpf_loop_coefficient(k, mp.mpf(c1))
+            assert_close(leading_coefficient(k, c1), want, C_K_ULPS, PREC_40, k)
+
+    def test_float_for_the_least_normal_double(self):
+        # the smallest normal double is one; only a subnormal one stays an mpf
+        assert type(_float_if_normal(mp.mpf(sys.float_info.min))) is float
+        assert type(_float_if_normal(mp.mpf(sys.float_info.min) / 2)) is mp.mpf
 
     def test_numeric_recurrence_has_no_cap(self):
         # doubly exponential growth: far beyond double range, still finite
@@ -303,7 +343,7 @@ class TestOmegaEstimate:
             assert repr(omega_estimate(k, conv(r), conv(eps))) == estimate
             assert repr(leading_coefficient(k, conv(r))) == c_k
 
-    def test_raw_loop_gives_the_bits_of_the_mpf_loop(self):
+    def test_closed_form_matches_the_mpf_loop(self):
         # k up to 16 reaches estimates far below the doubles, which come back as mpfs
         # with all 136 bits; an mpf r or epsilon keeps its bits, also past 40 digits
         rng = random.Random(20261020)
@@ -311,24 +351,27 @@ class TestOmegaEstimate:
         for _ in range(600):
             k, r, eps = rng.randint(1, 16), rng.uniform(0.2, 1.0), 10 ** rng.uniform(-12, 0)
             for r, eps in ((r, eps), (mp.mpf(r) / 3, mp.mpf(eps) / 7)):
-                want = mpf_loop_estimate(k, r, eps)
                 got = omega_estimate(k, r, eps)
-                if isinstance(got, mp.mpf):
-                    underflowed += 1
-                    assert got._mpf_ == want._mpf_, (k, r, eps)
-                else:
-                    assert got == float(want), (k, r, eps)
+                underflowed += isinstance(got, mp.mpf)
+                assert_close(got, mpf_loop_estimate(k, r, eps), ESTIMATE_ULPS, PREC_40, k, r, eps)
         with mp.workdps(60):
             r, eps = mp.mpf(1) / 3, mp.mpf(1) / 7000
-            assert omega_estimate(14, r, eps)._mpf_ == mpf_loop_estimate(14, r, eps)._mpf_
+        assert_close(omega_estimate(14, r, eps), mpf_loop_estimate(14, r, eps), ESTIMATE_ULPS, PREC_40)
         assert underflowed > 300
 
     def test_reading_keeps_every_bit_of_an_mpf(self):
-        # r, epsilon and c1 are not rounded to doubles on the way in
+        # r, epsilon and c1 are not rounded to doubles on the way in: at 40 digits,
+        # 0.35 and 1e-2 give results within the bound of the oracle at those values,
+        # and about 2^-44 away, relative, from what their nearest doubles give
         with mp.workdps(40):
-            assert repr(omega_estimate(10, mp.mpf("0.35"), mp.mpf("1e-2"))) == (
-                "mpf('1.261917460996368704226194908832814304340222e-393')")
-            assert repr(leading_coefficient(10, mp.mpf("0.35"))) == "2.5938490449293603e+106"
+            r, eps = mp.mpf("0.35"), mp.mpf("1e-2")
+        est = omega_estimate(10, r, eps)
+        assert_close(est, mpf_loop_estimate(10, r, eps), ESTIMATE_ULPS, PREC_40)
+        assert abs(est / omega_estimate(10, 0.35, 1e-2) - 1) > mp.mpf(2) ** -60
+        c_10 = leading_coefficient(10, r)
+        with mp.workprec(PREC_40 + 210):
+            assert_close(c_10, mpf_loop_coefficient(10, r), C_K_ULPS, PREC_40)
+        assert c_10 != leading_coefficient(10, 0.35)
 
 
 class TestSmallAngleConsistency:

@@ -25,9 +25,14 @@ sampler, the maximum taken, the ball radius and the range of z; and in
 ``smallangle``'s exact table, T_k's first coefficient N^2 taken as N, each
 factor of its coefficient ratio off by one and the back-shift from T_k to Q_k,
 the 2^(k-1) over which ``poly`` prints P_k from that table and its shift let
-past k - 1, one product of ``omega_estimate``'s raw loop rounded in another
-order, and ``leading_coefficient`` at 30 digits instead of 40.  A mutant
-marked equivalent carries the reason no test can kill it.
+past k - 1, and ``leading_coefficient`` at 30 digits instead of 40; in c_k's
+closed form, sqrt(2) read as 2, the N shift k - 1 read as k, sinh and cosh
+swapped and the guard's k term dropped, and ``omega_estimate``'s 1 - eps read
+as 1; and five comparisons moved onto their tolerance edge: ``>=`` as ``>`` in
+``_float_if_normal`` and in both of ``thresholds``' denominator tests,
+``_check_alignment``'s full difference ``2.0 * along`` read as the halved one,
+and ``<`` as ``<=`` at ``ZERO_PROB_TOL``.  A mutant marked equivalent carries
+the reason no test can kill it.
 
 It prints one line per mutant (killed or survived, seconds, and the first
 failing test, or the reason a survivor is equivalent); tests that run past
@@ -163,14 +168,42 @@ TABLE = (
            "2 * len(expansion)", POLY),
     Mutant("poly: shift past k - 1", "cli.py", "low = (b | den) & -(b | den)",
            "(b | den) & -(b | den)", "b & -b", POLY),
-    Mutant("estimate: dx*p*p as dx*(p*p)", "smallangle.py", "dxpp = mpf_mul(",
-           "mpf_mul(mpf_mul(dx, p, prec, rn), p, prec, rn)",
-           "mpf_mul(dx, mpf_mul(p, p, prec, rn), prec, rn)", ESTIMATE),
     Mutant("leading coefficient at 30 digits", "smallangle.py",
            "leading_coefficient_numeric(k, c1, dps_to_prec(40))", "40", "30", SMALLANGLE),
 )
 
-MUTANTS = FLIPS + SWAPS + OTHERS + DEC + SAMPLER + TABLE
+# c_k's closed form 2*sinh(N*phi)^2/(N*c1) and the estimate's linearised denominator
+SINH_COSH = "ch, sh = mpf_cosh_sinh("
+CLOSED_FORM = (
+    Mutant("closed form: sqrt(2) read as 2", "smallangle.py", "x = mpf_div(c, mpf_sqrt(ftwo",
+           "mpf_sqrt(ftwo, wp, rn)", "ftwo", SMALLANGLE),
+    Mutant("closed form: N shift k - 1 as k", "smallangle.py", SINH_COSH, "k - 1", "k", SMALLANGLE),
+    Mutant("closed form: sinh and cosh swapped", "smallangle.py", SINH_COSH, "ch, sh", "sh, ch",
+           SMALLANGLE),
+    Mutant("closed form: guard's k term dropped", "smallangle.py", "wp = prec + k + abs(", "prec + k +",
+           "prec +", SMALLANGLE),
+    Mutant("estimate: (1 - eps) read as 1", "smallangle.py", "den = mpf_add(mpf_mul(mpf_sub(",
+           "mpf_sub(fone, epsilon, prec, rn)", "fone", ESTIMATE),
+)
+
+# Comparisons at a tolerance, each moved onto its edge
+EDGES = (
+    Mutant("float if normal: >= as >", "smallangle.py", "abs(f) >= sys.float_info.min", ">=", ">",
+           SMALLANGLE),
+    Mutant("thresholds: symmetric >= as >", "rac.py", "lambda_symmetric_critical=1.0 / (d1 + d2) if",
+           ">=", ">", ("tests/test_rac.py::TestThresholds",)),
+    Mutant("thresholds: asymmetric >= as >", "rac.py", "lambda_asymmetric_critical=(1.0 - d1) / d2 if",
+           ">=", ">", ("tests/test_rac.py::TestThresholds",)),
+    Mutant("alignment: 2.0 * along as along", "sequential.py", "or 2.0 * along < -ALIGNMENT_TOL",
+           "2.0 * along", "along", ("tests/test_sequential.py::TestAlignmentTolerance",)),
+    Mutant("zero probability: < as <=", "channel.py", "if prob < ZERO_PROB_TOL:", "<", "<=",
+           ("tests/test_channel.py",), equivalent=(
+               "prob = (1 + x)/2 is below 1/4 only for x < -1/2: negative below x = -1, and on "
+               "[-1, -1/2) 1 + x is exact (Sterbenz) and a multiple of 2^-53, so prob is one of "
+               "2^-54; 1e-15 is 18.01 of those, so no prob equals ZERO_PROB_TOL")),
+)
+
+MUTANTS = FLIPS + SWAPS + OTHERS + DEC + SAMPLER + TABLE + CLOSED_FORM + EDGES
 
 
 def mutate(text: str, m: Mutant) -> str:
